@@ -34,17 +34,18 @@ OoOCore::done() const
 }
 
 void
-OoOCore::chargeCycle(CycleBucket b, Cycle now, Addr line)
+OoOCore::chargeCycles(CycleBucket b, Cycle now, Addr line,
+                      std::uint64_t n)
 {
-    ledger_.charge(b);
+    ledger_.charge(b, n);
     if (epOpen_ && epBucket_ == b) {
-        ++epCycles_;
+        epCycles_ += n;
         return;
     }
     closeEpisode(now);
     epOpen_ = true;
     epBucket_ = b;
-    epCycles_ = 1;
+    epCycles_ = n;
     epLine_ = line;
     if (b == CycleBucket::PrefetchPartial)
         epPartialOrigin_ = stallPartialOrigin_;
@@ -94,6 +95,69 @@ OoOCore::tick(Cycle now)
     // Prefetches take the L1I tag port only on cycles with no demand
     // fetch access.
     engine_.tick(now, !demandFetchedThisCycle_);
+}
+
+Cycle
+OoOCore::nextActiveCycle(Cycle now) const
+{
+    // Work available this very cycle: a queued prefetch (the tag port
+    // is free whenever fetch is idle) or a fetch that could deliver.
+    if (engine_.hasIssueWork())
+        return now;
+    if (!blockedOnSeq_ && now >= fetchResumeAt_ &&
+        fetchBuf_.size() < params_.fetchBufferEntries &&
+        !(exhausted_ && blockPos_ == blockLen_))
+        return now;
+
+    Cycle wake = neverCycle;
+    if (!rob_.empty() && rob_.front().issued)
+        wake = std::min(wake, rob_.front().execDone); // commit
+    if (robUnissued_ > 0)
+        wake = std::min(wake, issueWakeAt_); // issue scan
+    if (!fetchBuf_.empty() && rob_.size() < params_.robEntries)
+        wake = std::min(wake, fetchBuf_.front().availAt); // dispatch
+    if (!blockedOnSeq_ && fetchResumeAt_ > now) {
+        wake = std::min(wake, fetchResumeAt_); // fetch resumes
+        // The stall bucket flips from the fill level to the I-TLB
+        // here (a stale value from an older stall lies in the past).
+        if (stallFillReady_ >= now)
+            wake = std::min(wake, stallFillReady_);
+    }
+    return std::max(wake, now);
+}
+
+void
+OoOCore::idle(Cycle from, std::uint64_t n)
+{
+    if (n == 0)
+        return;
+    // The charges of dispatchStage() and fetchStage() on a tick with
+    // nothing to do; the state they read is frozen while asleep.
+    if (rob_.size() >= params_.robEntries)
+        robFullCycles += n;
+    if (chargeFetchWait(from, n))
+        return;
+    chargeCycles(fetchBuf_.size() >= params_.fetchBufferEntries
+                     ? CycleBucket::Backpressure
+                     : CycleBucket::Drain,
+                 from, curFetchLine_, n);
+}
+
+bool
+OoOCore::chargeFetchWait(Cycle now, std::uint64_t n)
+{
+    if (blockedOnSeq_) {
+        branchStallCycles += n;
+        chargeCycles(CycleBucket::BranchRedirect, now, curFetchLine_,
+                     n);
+        return true;
+    }
+    if (now < fetchResumeAt_) {
+        fetchStallCycles += n;
+        chargeCycles(stallBucket(now), now, stallLine_, n);
+        return true;
+    }
+    return false;
 }
 
 void
@@ -356,17 +420,8 @@ void
 OoOCore::fetchStage(Cycle now)
 {
     demandFetchedThisCycle_ = false;
-
-    if (blockedOnSeq_) {
-        ++branchStallCycles;
-        chargeCycle(CycleBucket::BranchRedirect, now, curFetchLine_);
+    if (chargeFetchWait(now, 1))
         return;
-    }
-    if (now < fetchResumeAt_) {
-        ++fetchStallCycles;
-        chargeCycle(stallBucket(now), now, stallLine_);
-        return;
-    }
 
     unsigned fetched = 0;
     bool stalled = false;
@@ -390,13 +445,13 @@ OoOCore::fetchStage(Cycle now)
     // charges like the waited cycles will; a full fetch buffer is
     // back-end backpressure; otherwise the stream has drained.
     if (fetched > 0)
-        chargeCycle(CycleBucket::Busy, now, curFetchLine_);
+        chargeCycles(CycleBucket::Busy, now, curFetchLine_);
     else if (stalled)
-        chargeCycle(stallBucket(now), now, stallLine_);
+        chargeCycles(stallBucket(now), now, stallLine_);
     else if (bufferFull)
-        chargeCycle(CycleBucket::Backpressure, now, curFetchLine_);
+        chargeCycles(CycleBucket::Backpressure, now, curFetchLine_);
     else
-        chargeCycle(CycleBucket::Drain, now, curFetchLine_);
+        chargeCycles(CycleBucket::Drain, now, curFetchLine_);
 }
 
 void

@@ -20,6 +20,11 @@
  * block size of 1 reproduces the original record-at-a-time pull
  * exactly (used by time-sliced runs, whose source is swapped
  * mid-run, and by the batched==scalar equivalence tests).
+ *
+ * Most cycles of a fetch-bound core only charge one CPI bucket.
+ * nextActiveCycle() names the next cycle tick() does more, so an
+ * event loop may skip the core until then and charge the skipped
+ * span with idle(); tick() called every cycle behaves the same.
  */
 
 #ifndef IPREF_CPU_CORE_HH
@@ -78,6 +83,24 @@ class OoOCore
 
     /** Advance one cycle at time @p now. */
     void tick(Cycle now);
+
+    /**
+     * Earliest cycle >= @p now at which tick() would do more than
+     * charge one CPI bucket (and the stall/ROB-full counters): the
+     * first cycle the core can commit, issue, dispatch, fetch, issue
+     * a prefetch, or change the bucket it charges. Exact, so an event
+     * loop may skip the core until then and charge the skipped span
+     * with idle(). neverCycle when nothing can ever wake it.
+     */
+    Cycle nextActiveCycle(Cycle now) const;
+
+    /**
+     * Account @p n cycles starting at @p from during which the core
+     * sleeps (every cycle in the span is before nextActiveCycle()):
+     * exactly the counter and ledger effects of n consecutive tick()
+     * calls that find nothing to do.
+     */
+    void idle(Cycle from, std::uint64_t n);
 
     /** Trace exhausted and pipeline drained. */
     bool done() const;
@@ -172,8 +195,14 @@ class OoOCore
 
     Cycle execute(const RobEntry &entry, Cycle now);
 
-    /** Charge this tick to @p b; extends or opens a stall episode. */
-    void chargeCycle(CycleBucket b, Cycle now, Addr line);
+    /** Charge @p n cycles from @p now to @p b; extends or opens a
+     *  stall episode. */
+    void chargeCycles(CycleBucket b, Cycle now, Addr line,
+                      std::uint64_t n = 1);
+
+    /** Charge @p n cycles from @p now while fetch waits on a branch
+     *  or a stall; false (nothing charged) when it does not wait. */
+    bool chargeFetchWait(Cycle now, std::uint64_t n);
 
     /** Close the open episode (emits its fetch_stall trace event). */
     void closeEpisode(Cycle now);

@@ -91,6 +91,15 @@ class PrefetchEngine : public PrefetchEvictionListener
         issueOne(now);
     }
 
+    /** Would tick() with a free tag port issue (or drop) a prefetch?
+     *  Only the owning core's fetch events fill the queue, so this
+     *  stays false while that core sleeps. */
+    bool
+    hasIssueWork() const
+    {
+        return prefetcher_ && queue_.hasWaiting();
+    }
+
     /**
      * Does the configured scheme consume branch / function events?
      * Fetch loops use these to skip event construction entirely for

@@ -219,7 +219,7 @@ struct SimResults
     /**
      * CPI stack: cycles charged to each bucket, summed over all
      * cores. In timing mode this partitions cycles exactly:
-     * sum == cycles * numCores (every core ticks every cycle) — the
+     * sum == cycles * numCores (every core is charged every cycle) — the
      * conservation invariant the System enforces at end of run.
      * All-zero in functional mode (no cycle accounting exists there).
      */

@@ -75,7 +75,12 @@ cycleBucketName(CycleBucket b)
 class CycleLedger
 {
   public:
-    void charge(CycleBucket b) { ++buckets_[idx(b)]; }
+    /** Charge @p n cycles to @p b (n > 1: a sleeping core's span). */
+    void
+    charge(CycleBucket b, std::uint64_t n = 1)
+    {
+        buckets_[idx(b)] += n;
+    }
 
     std::uint64_t
     value(CycleBucket b) const

@@ -517,7 +517,7 @@ batchSigintHandler(int)
 /**
  * One thread watching every in-flight run: raises stopTimeout on runs
  * past their deadline and stopInterrupt on all of them after SIGINT.
- * The runs notice cooperatively (System::checkControl) and unwind with
+ * The runs notice cooperatively (System::checkpoint) and unwind with
  * a SimError, so pool slots always drain — no thread is ever killed.
  */
 class BatchWatchdog

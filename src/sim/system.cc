@@ -23,7 +23,8 @@ namespace
  * Publishing stride for the live instruction counters: coarse enough
  * that the run loops see one predictable branch per iteration and an
  * atomic add only every ~16k instructions, fine enough that ipref_top
- * sampling at tens of milliseconds still tracks real progress.
+ * sampling at tens of milliseconds still tracks real progress. Runs
+ * under a RunControl also poll it at least this often.
  */
 constexpr std::uint64_t kMetricsStride = 16384;
 
@@ -250,9 +251,8 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
     // Time-sliced runs swap the active source mid-run; batching would
     // pull records past the slice boundary from the wrong stream, so
     // they keep the scalar record-at-a-time pull.
-    const bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
     const unsigned blockRecs =
-        sliced ? 1u : std::max(1u, cfg_.core.fetchBlockRecords);
+        sliced() ? 1u : std::max(1u, cfg_.core.fetchBlockRecords);
     if (cfg_.functional) {
         funcState_.resize(cfg_.numCores);
         for (unsigned c = 0; c < cfg_.numCores; ++c) {
@@ -301,7 +301,7 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
 System::~System() = default;
 
 void
-System::checkControl(std::uint64_t p, std::uint64_t &ctl) const
+System::checkpoint(std::uint64_t p)
 {
     if (cfg_.faultAtInstr && p >= cfg_.faultAtInstr)
         throw SimError(cfg_.faultTransient ? SimError::Kind::Io
@@ -310,15 +310,70 @@ System::checkControl(std::uint64_t p, std::uint64_t &ctl) const
                            "injected fault at instruction %llu",
                            static_cast<unsigned long long>(p)),
                        cfg_.faultTransient);
-    if (!cfg_.control || (ctl++ & 1023) != 0)
+    if (cfg_.control) {
+        int s = cfg_.control->stop.load(std::memory_order_relaxed);
+        if (s == RunControl::stopTimeout)
+            throw SimError(SimError::Kind::Timeout,
+                           "run exceeded its deadline");
+        if (s == RunControl::stopInterrupt)
+            throw SimError(SimError::Kind::Interrupted,
+                           "run interrupted");
+    }
+    if (nextSampleAt_ > 0 && p >= nextSampleAt_) {
+        settleIdle();
+        maybeSample(p);
+    }
+    if constexpr (metrics::kCompiled)
+        if (p >= metricsNextAt_)
+            publishProgressMetrics(p);
+}
+
+std::uint64_t
+System::nextCheckpoint(std::uint64_t p, std::uint64_t target) const
+{
+    std::uint64_t next = target;
+    if (nextSampleAt_ > 0)
+        next = std::min(next, nextSampleAt_);
+    if constexpr (metrics::kCompiled)
+        next = std::min(next, metricsNextAt_);
+    if (cfg_.faultAtInstr > p)
+        next = std::min(next, cfg_.faultAtInstr);
+    // Even with metrics compiled out, a cancelled run stops within
+    // one stride of instructions.
+    if (cfg_.control)
+        next = std::min(next, p + kMetricsStride);
+    if (sliced())
+        next = std::min(next, sliceStart_ + cfg_.timeSliceInstrs);
+    return std::max(next, p + 1);
+}
+
+void
+System::maybeRotateSlice(std::uint64_t done)
+{
+    if (done - sliceStart_ < cfg_.timeSliceInstrs)
         return;
-    int s = cfg_.control->stop.load(std::memory_order_relaxed);
-    if (s == RunControl::stopTimeout)
-        throw SimError(SimError::Kind::Timeout,
-                       "run exceeded its deadline");
-    if (s == RunControl::stopInterrupt)
-        throw SimError(SimError::Kind::Interrupted,
-                       "run interrupted");
+    activeSlice_ = (activeSlice_ + 1) % workloads_.size();
+    TraceSource *next = workloads_[activeSlice_].get();
+    if (cfg_.functional) {
+        funcState_[0].trace = next;
+    } else {
+        cores_[0]->setTrace(next);
+        // Waking early is always safe: tick the core next cycle.
+        clocks_[0].wake = std::min(clocks_[0].wake, now_);
+    }
+    sliceStart_ = done;
+}
+
+void
+System::settleIdle()
+{
+    for (std::size_t c = 0; c < clocks_.size(); ++c) {
+        CoreClock &ck = clocks_[c];
+        if (ck.chargedTo < now_) {
+            cores_[c]->idle(ck.chargedTo, now_ - ck.chargedTo);
+            ck.chargedTo = now_;
+        }
+    }
 }
 
 std::uint64_t
@@ -338,6 +393,7 @@ System::progress() const
 void
 System::publishProgressMetrics(std::uint64_t p)
 {
+    settleIdle();
     SystemMetricRefs &m = systemMetrics();
     std::uint64_t delta = p - metricsLastProgress_;
     if (delta) {
@@ -388,64 +444,61 @@ System::maybeSample(std::uint64_t p)
 void
 System::runTiming(std::uint64_t targetInstrs)
 {
-    bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
-    bool sampling = cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0;
-    bool guarded = cfg_.faultAtInstr > 0 || cfg_.control != nullptr;
-    std::uint64_t ctl = 0;
-    Cycle guard =
+    // Every core starts awake (waking early is always safe).
+    clocks_.assign(cores_.size(), CoreClock{now_, now_});
+    const Cycle guard =
         now_ + 1000 + 400 * (targetInstrs - std::min(targetInstrs,
                                                      progress()));
-    // Progress grows by at most this much per cycle, which bounds how
-    // many cycles can run before the next threshold check could fire.
+    // Only the tick cycle of a step commits, and it commits at most
+    // this much, so a batch of steps runs check-free until progress
+    // could first reach the next checkpoint.
     const std::uint64_t maxStep = std::max<std::uint64_t>(
         1, static_cast<std::uint64_t>(cfg_.numCores) *
                cfg_.core.commitWidth);
+    auto stuck = [] {
+        ipref_raise(InvariantError, "timing simulation is not making "
+                                    "progress (IPC < 0.0025)");
+    };
+    std::uint64_t ticks = 0;
     while (true) {
         std::uint64_t p = progress();
         if (p >= targetInstrs)
             break;
-        if (guarded)
-            checkControl(p, ctl);
-        if (sampling)
-            maybeSample(p);
-        if constexpr (metrics::kCompiled)
-            if (p >= metricsNextAt_)
-                publishProgressMetrics(p);
-
-        // Run check-free until progress could reach the nearest
-        // threshold: the intermediate per-cycle checks are provably
-        // no-ops, so skipping them cannot change when a sample or a
-        // control poll happens. Guarded and time-sliced runs keep the
-        // original cycle-at-a-time cadence (their per-cycle hooks
-        // observe intermediate progress).
-        std::uint64_t steps = 1;
-        if (!guarded && !sliced) {
-            std::uint64_t nextEvent = targetInstrs;
-            if (sampling)
-                nextEvent = std::min(nextEvent, nextSampleAt_);
-            if constexpr (metrics::kCompiled)
-                nextEvent = std::min(nextEvent, metricsNextAt_);
-            steps = (nextEvent - p - 1) / maxStep + 1;
-        }
+        checkpoint(p);
+        const std::uint64_t steps =
+            (nextCheckpoint(p, targetInstrs) - p - 1) / maxStep + 1;
         for (std::uint64_t s = 0; s < steps; ++s) {
-            for (auto &core : cores_)
-                core->tick(now_);
-            ++now_;
-            if (now_ > guard)
-                ipref_raise(InvariantError,
-                            "timing simulation is not making "
-                            "progress (IPC < 0.0025)");
-        }
-        if (sliced) {
-            std::uint64_t done = cores_[0]->committed();
-            if (done - sliceStart_ >= cfg_.timeSliceInstrs) {
-                activeSlice_ =
-                    (activeSlice_ + 1) % workloads_.size();
-                cores_[0]->setTrace(workloads_[activeSlice_].get());
-                sliceStart_ = done;
+            // When every core sleeps, jump to the earliest wake. Only
+            // at the start of a step: the step that reaches a
+            // checkpoint ends on its tick cycle, as cycle-at-a-time.
+            Cycle wake = neverCycle;
+            for (const CoreClock &ck : clocks_)
+                wake = std::min(wake, ck.wake);
+            if (wake > now_) {
+                now_ = std::min(wake, guard + 1);
+                if (now_ > guard)
+                    stuck();
             }
+            for (std::size_t c = 0; c < clocks_.size(); ++c) {
+                CoreClock &ck = clocks_[c];
+                if (ck.wake > now_)
+                    continue;
+                OoOCore &core = *cores_[c];
+                if (ck.chargedTo < now_)
+                    core.idle(ck.chargedTo, now_ - ck.chargedTo);
+                core.tick(now_);
+                ck.chargedTo = now_ + 1;
+                ck.wake = core.nextActiveCycle(now_ + 1);
+                ++ticks;
+            }
+            if (++now_ > guard)
+                stuck();
         }
+        if (sliced())
+            maybeRotateSlice(cores_[0]->committed());
     }
+    settleIdle();
+    profile_.coreTicks += ticks;
 }
 
 void
@@ -512,38 +565,21 @@ System::funcStep(unsigned c, FuncState &st, const InstrRecord &rec)
 void
 System::runFunctional(std::uint64_t targetInstrs)
 {
-    bool sliced = cfg_.numCores == 1 && workloads_.size() > 1;
-    bool sampling = cfg_.statsIntervalInstrs > 0 && nextSampleAt_ > 0;
-    bool guarded = cfg_.faultAtInstr > 0 || cfg_.control != nullptr;
-    std::uint64_t ctl = 0;
     const unsigned nc = cfg_.numCores;
     while (true) {
         std::uint64_t p = progress();
         if (p >= targetInstrs)
             break;
-        if (guarded)
-            checkControl(p, ctl);
-        if (sampling)
-            maybeSample(p);
-        if constexpr (metrics::kCompiled)
-            if (p >= metricsNextAt_)
-                publishProgressMetrics(p);
+        checkpoint(p);
 
         // Each round emits exactly one instruction per core in
         // round-robin order (the shared-L2 interleaving the schemes
         // see). Run as many rounds as the buffered blocks allow
-        // before the next threshold check could fire; the skipped
-        // per-round checks are provably no-ops. Guarded and sliced
-        // runs keep round-at-a-time cadence.
-        std::uint64_t rounds = 1;
-        if (!guarded && !sliced) {
-            std::uint64_t nextEvent = targetInstrs;
-            if (sampling)
-                nextEvent = std::min(nextEvent, nextSampleAt_);
-            if constexpr (metrics::kCompiled)
-                nextEvent = std::min(nextEvent, metricsNextAt_);
-            rounds = (nextEvent - p - 1) / nc + 1;
-        }
+        // before progress could reach the next checkpoint (a
+        // time-sliced core pulls one record per block, so it runs
+        // round by round).
+        std::uint64_t rounds =
+            (nextCheckpoint(p, targetInstrs) - p - 1) / nc + 1;
         for (unsigned c = 0; c < nc; ++c) {
             FuncState &st = funcState_[c];
             if (st.pos == st.len)
@@ -560,15 +596,8 @@ System::runFunctional(std::uint64_t targetInstrs)
             }
             ++now_;
         }
-        if (sliced) {
-            FuncState &st = funcState_[0];
-            if (st.emitted - sliceStart_ >= cfg_.timeSliceInstrs) {
-                activeSlice_ =
-                    (activeSlice_ + 1) % workloads_.size();
-                st.trace = workloads_[activeSlice_].get();
-                sliceStart_ = st.emitted;
-            }
-        }
+        if (sliced())
+            maybeRotateSlice(funcState_[0].emitted);
     }
 }
 
@@ -713,6 +742,8 @@ System::run()
         return std::chrono::duration<double>(b - a).count();
     };
 
+    const Cycle runStart = now_;
+    profile_.coreTicks = 0;
     auto t0 = clock::now();
     if (cfg_.warmupInstrs > 0) {
         std::uint64_t target = progress() + cfg_.warmupInstrs;
@@ -773,6 +804,7 @@ System::run()
     }
     profile_.measureSeconds = seconds(t1, t2);
     profile_.measureInstructions = results_.instructions;
+    profile_.coreCycles = (now_ - runStart) * cores_.size();
 
     // Close the trailing partial interval so sample deltas cover the
     // whole measurement window.
@@ -975,7 +1007,11 @@ System::dumpJson(std::ostream &os) const
        << "    \"measure_instructions\": "
        << profile_.measureInstructions << ",\n"
        << "    \"measure_instrs_per_sec\": "
-       << jsonNumber(profile_.measureInstrsPerSec()) << "\n"
+       << jsonNumber(profile_.measureInstrsPerSec()) << ",\n"
+       << "    \"core_ticks\": " << profile_.coreTicks << ",\n"
+       << "    \"core_cycles\": " << profile_.coreCycles << ",\n"
+       << "    \"ticks_per_core_cycle\": "
+       << jsonNumber(profile_.ticksPerCoreCycle()) << "\n"
        << "  },\n";
 
     // --- per-site heavy-hitter attribution (when enabled) -------------

@@ -29,6 +29,10 @@ struct PhaseProfile
     double measureSeconds = 0.0;
     std::uint64_t warmupInstructions = 0;
     std::uint64_t measureInstructions = 0;
+    /** OoOCore::tick() calls executed (timing mode, whole run). */
+    std::uint64_t coreTicks = 0;
+    /** Core cycles simulated: cycles * cores (timing, whole run). */
+    std::uint64_t coreCycles = 0;
 
     /** Simulation speed over the measurement phase (instrs/sec). */
     double
@@ -38,6 +42,16 @@ struct PhaseProfile
                    ? static_cast<double>(measureInstructions) /
                          measureSeconds
                    : 0.0;
+    }
+
+    /** Share of simulated core cycles that ran a tick; the rest were
+     *  skipped as idle by the event loop. */
+    double
+    ticksPerCoreCycle() const
+    {
+        return coreCycles > 0 ? static_cast<double>(coreTicks) /
+                                    static_cast<double>(coreCycles)
+                              : 0.0;
     }
 };
 
@@ -130,14 +144,41 @@ class System
     void runTiming(std::uint64_t targetInstrs);
     void runFunctional(std::uint64_t targetInstrs);
 
+    /** Is this a single core rotating between workload walkers? */
+    bool
+    sliced() const
+    {
+        return cfg_.numCores == 1 && workloads_.size() > 1;
+    }
+
     /**
-     * Fault-injection / cancellation poll, called from the run loops
-     * when either hook is armed. Throws SimError (Io/Invariant on an
-     * injected fault, Timeout/Interrupted when the RunControl stop
-     * flag is raised). @p ctl rate-limits the atomic load to every
-     * 1024th call.
+     * The run loops' per-batch checks at progress @p p: injected
+     * fault (throws Io/Invariant SimError), RunControl poll (throws
+     * Timeout/Interrupted), due interval samples, metrics publish.
      */
-    void checkControl(std::uint64_t p, std::uint64_t &ctl) const;
+    void checkpoint(std::uint64_t p);
+
+    /**
+     * Smallest progress value above @p p at which checkpoint() or the
+     * loop itself has something to do: @p target, the next interval
+     * sample, metrics publish, injected fault, control poll or
+     * time-slice boundary. A batch runs check-free until progress
+     * could first reach it.
+     */
+    std::uint64_t nextCheckpoint(std::uint64_t p,
+                                 std::uint64_t target) const;
+
+    /** Rotate the time-sliced core to the next walker once the
+     *  current slice has run its quantum. */
+    void maybeRotateSlice(std::uint64_t done);
+
+    /**
+     * Charge every sleeping timing core's skipped cycles up to now_
+     * (OoOCore::idle). Called before anything reads the ledgers or
+     * core counters: interval samples, metrics publishes (including
+     * the exception path) and the end of each phase.
+     */
+    void settleIdle();
 
     /** Total committed (timing) or emitted (functional). */
     std::uint64_t progress() const;
@@ -187,6 +228,16 @@ class System
     /** Single-core time-sliced workload rotation. */
     std::size_t activeSlice_ = 0;
     std::uint64_t sliceStart_ = 0;
+
+    /** Event-loop state of one timing core: the next cycle it must
+     *  tick and the first cycle its ledger has not been charged for
+     *  (cycles in between are idle, charged lazily by settleIdle). */
+    struct CoreClock
+    {
+        Cycle wake = 0;
+        Cycle chargedTo = 0;
+    };
+    std::vector<CoreClock> clocks_;
 
     Cycle now_ = 0;
     SimResults results_;

@@ -15,6 +15,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string_view>
 #include <vector>
 
@@ -145,23 +146,50 @@ class Rng
 /**
  * Precomputed Zipf(alpha) sampler over {0, ..., n-1}.
  *
- * Uses an inverse-CDF table with binary search; construction is
- * O(n), sampling is O(log n). Rank 0 is the most popular item.
+ * Uses an inverse-CDF table; construction is O(n), sampling is a
+ * guide-table lookup that narrows the binary search to the few CDF
+ * entries of the draw's 1/kGuideBuckets slice of [0, 1), falling
+ * back to the full search whenever the slice bounds do not bracket
+ * the draw, so every draw returns exactly std::lower_bound's index.
+ * The tables are immutable and shared process-wide per (n, alpha):
+ * samplers of equal shape (every core's walker of one preset) build
+ * the CDF once. Rank 0 is the most popular item.
  */
 class ZipfSampler
 {
   public:
-    /** Build a sampler over @p n items with exponent @p alpha. */
+    static constexpr std::size_t kGuideBuckets = 4096;
+
+    /** Build (or share) a sampler over @p n items with exponent
+     *  @p alpha. */
     ZipfSampler(std::size_t n, double alpha);
 
     /** Draw a rank in [0, n). */
-    std::size_t sample(Rng &rng) const;
+    std::size_t sample(Rng &rng) const { return rankOf(rng.uniform()); }
+
+    /** Rank for the uniform draw @p u: the first CDF entry >= u
+     *  (the last rank when none is). */
+    std::size_t rankOf(double u) const;
 
     /** Number of items. */
-    std::size_t size() const { return cdf_.size(); }
+    std::size_t size() const { return table_->cdf.size(); }
+
+    /** The cumulative distribution (shared, immutable). */
+    const std::vector<double> &cdf() const { return table_->cdf; }
 
   private:
-    std::vector<double> cdf_;
+    struct Table
+    {
+        std::vector<double> cdf;
+        /** guide[k]: first index whose CDF value is >= k/kGuideBuckets
+         *  (kGuideBuckets + 1 entries). */
+        std::vector<std::uint32_t> guide;
+    };
+
+    static std::shared_ptr<const Table> build(std::size_t n,
+                                              double alpha);
+
+    std::shared_ptr<const Table> table_;
 };
 
 } // namespace ipref

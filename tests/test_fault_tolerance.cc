@@ -426,6 +426,64 @@ TEST(FaultTolerance, WatchdogTimesOutRunawayRuns)
     EXPECT_LT(outcomes[0].wallMs, 30000u);
 }
 
+// Both run loops check the fault threshold at the first batch
+// boundary where progress reaches it, which is where the
+// cycle-at-a-time loops checked it: functional runs advance one
+// instruction per core per round; timing runs commit several per
+// cycle and report the first cycle boundary at or past the threshold
+// (progress restarts at the measurement boundary).
+TEST(FaultTolerance, InjectedFaultReportsExactInstruction)
+{
+    struct Case
+    {
+        bool functional;
+        bool cmp;
+        std::uint64_t at;
+        const char *want;
+    };
+    const Case cases[] = {
+        {true, false, 5000, "injected fault at instruction 5000"},
+        {true, true, 5001, "injected fault at instruction 5004"},
+        {false, false, 3001, "injected fault at instruction 3002"},
+        {false, true, 3001, "injected fault at instruction 3004"},
+        {false, true, 9001, "injected fault at instruction 9002"},
+    };
+    for (const Case &c : cases) {
+        RunSpec spec = quickSpec(44);
+        spec.functional = c.functional;
+        spec.cmp = c.cmp;
+        spec.faultAtInstr = c.at;
+        BatchOptions opt;
+        opt.maxAttempts = 1;
+        std::vector<RunOutcome> outcomes = runBatch({spec}, opt);
+        ASSERT_EQ(outcomes.size(), 1u);
+        EXPECT_EQ(outcomes[0].status, RunStatus::Failed);
+        EXPECT_EQ(outcomes[0].error.find(c.want) != std::string::npos,
+                  true)
+            << outcomes[0].error;
+    }
+}
+
+// The RunControl poll runs once per loop batch; a timing-mode CMP run
+// far longer than its deadline must still be stopped by the watchdog.
+TEST(FaultTolerance, WatchdogTimesOutTimingRuns)
+{
+    RunSpec runaway = quickSpec(9);
+    runaway.functional = false;
+    runaway.cmp = true;
+    runaway.instrScale = 500.0;
+
+    BatchOptions opt;
+    opt.maxAttempts = 1;
+    opt.runTimeoutMs = 50;
+
+    std::vector<RunOutcome> outcomes = runBatch({runaway}, opt);
+    ASSERT_EQ(outcomes.size(), 1u);
+    EXPECT_EQ(outcomes[0].status, RunStatus::TimedOut);
+    EXPECT_EQ(outcomes[0].errorKind, SimError::Kind::Timeout);
+    EXPECT_LT(outcomes[0].wallMs, 30000u);
+}
+
 TEST(FaultTolerance, ManifestRoundTrip)
 {
     std::string path = ::testing::TempDir() + "manifest_rt.json";

@@ -8,8 +8,10 @@
 
 #include "error_helpers.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -127,6 +129,58 @@ TEST(Zipf, SingleItem)
     Rng rng(19);
     for (int i = 0; i < 100; ++i)
         EXPECT_EQ(zipf.sample(rng), 0u);
+}
+
+// The guide table must be invisible: for draws at every CDF value, at
+// every guide-bucket edge k/G, and at the neighbouring doubles of
+// both, rankOf() returns exactly the full std::lower_bound index.
+TEST(Zipf, GuideTableMatchesFullSearch)
+{
+    const std::pair<std::size_t, double> shapes[] = {
+        {262144, 1.3}, {65536, 1.05}, {1000, 0.55}, {37, 0.4},
+        {3, 2.0},      {1, 1.0}};
+    for (auto [n, alpha] : shapes) {
+        ZipfSampler zipf(n, alpha);
+        const std::vector<double> &cdf = zipf.cdf();
+        auto full = [&](double u) {
+            auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+            if (it == cdf.end())
+                --it;
+            return static_cast<std::size_t>(it - cdf.begin());
+        };
+        auto check = [&](double u) {
+            for (double v : {std::nextafter(u, -1.0), u,
+                             std::nextafter(u, 2.0)}) {
+                if (v < 0.0 || v >= 1.0)
+                    continue; // outside Rng::uniform()'s range
+                ASSERT_EQ(zipf.rankOf(v), full(v))
+                    << "n " << n << " alpha " << alpha << " u " << v;
+            }
+        };
+        for (double c : cdf)
+            check(c);
+        for (std::size_t k = 0; k <= ZipfSampler::kGuideBuckets; ++k)
+            check(static_cast<double>(k) /
+                  static_cast<double>(ZipfSampler::kGuideBuckets));
+        Rng rng(29);
+        for (int i = 0; i < 10000; ++i) {
+            double u = rng.uniform();
+            ASSERT_EQ(zipf.rankOf(u), full(u));
+        }
+    }
+}
+
+// Samplers of one shape share a single immutable CDF.
+TEST(Zipf, EqualShapesShareOneTable)
+{
+    ZipfSampler a(4096, 1.28);
+    ZipfSampler b(4096, 1.28);
+    ZipfSampler c(4096, 1.31);
+    EXPECT_EQ(&a.cdf(), &b.cdf());
+    EXPECT_NE(&a.cdf(), &c.cdf());
+    Rng ra(5), rb(5);
+    for (int i = 0; i < 1000; ++i)
+        EXPECT_EQ(a.sample(ra), b.sample(rb));
 }
 
 TEST(BitUtil, PowersOfTwo)
