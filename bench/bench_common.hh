@@ -146,46 +146,17 @@ struct BenchContext
     }
 
     /**
-     * The schemes this bench compares: the --scheme list (comma
-     * separated registry tokens/aliases), or the paper's Figure 5-9
-     * set when the flag is absent. Throws ConfigError on an unknown
-     * token.
-     */
-    std::vector<PrefetchScheme>
-    schemes() const
-    {
-        if (schemeArg.empty()) {
-            static const std::vector<PrefetchScheme> paper = {
-                PrefetchScheme::NextLineOnMiss,
-                PrefetchScheme::NextLineTagged,
-                PrefetchScheme::NextNLineTagged,
-                PrefetchScheme::Discontinuity,
-            };
-            return paper;
-        }
-        std::vector<PrefetchScheme> out;
-        std::string tok;
-        for (char c : schemeArg + ",") {
-            if (c != ',') {
-                tok += c;
-                continue;
-            }
-            if (!tok.empty())
-                out.push_back(parseScheme(tok));
-            tok.clear();
-        }
-        return out;
-    }
-
-    /**
-     * The --scheme list as full registry selections (token + knob
-     * values), or @p fallback when the flag is absent. Comma-split,
+     * The --scheme list as registry selections (token + knob values),
+     * or @p fallback — by default the paper's Figure 5-9 set — when
+     * the flag is absent. Comma-split,
      * except that a "knob=val" segment with no ':' attaches to the
      * preceding selection — so "domino:history=65536,replay=2,isb"
      * is two selections. Throws ConfigError on unknown tokens/knobs.
      */
     std::vector<SchemeSelection>
-    schemeSelections(const std::vector<std::string> &fallback) const
+    schemeSelections(const std::vector<std::string> &fallback = {
+                         "nl-miss", "nl-tagged", "n4l",
+                         "discontinuity"}) const
     {
         std::vector<std::string> specs;
         if (schemeArg.empty()) {
@@ -325,28 +296,25 @@ struct BenchContext
     mutable std::map<RunStatus, unsigned> statusCounts;
 };
 
+/**
+ * Table label of @p sel: the scheme's registry display name (the
+ * paper's legend), followed by its explicit knobs when it has any.
+ */
+inline std::string
+schemeLabel(const SchemeSelection &sel)
+{
+    std::string label =
+        SchemeRegistry::instance().at(sel.token).displayName;
+    if (!sel.knobs.empty())
+        label.append(":").append(sel.knobs.canonical());
+    return label;
+}
+
 /** Speedup of @p x over @p base (paper's "performance improvement"). */
 inline double
 speedup(const SimResults &base, const SimResults &x)
 {
     return base.ipc > 0 ? x.ipc / base.ipc : 0.0;
-}
-
-/**
- * The prefetching schemes compared in Figures 5-9.
- * @deprecated Use BenchContext::schemes(), which also honours the
- * --scheme flag; this remains for out-of-tree drivers.
- */
-inline const std::vector<PrefetchScheme> &
-paperSchemes()
-{
-    static const std::vector<PrefetchScheme> schemes = {
-        PrefetchScheme::NextLineOnMiss,
-        PrefetchScheme::NextLineTagged,
-        PrefetchScheme::NextNLineTagged,
-        PrefetchScheme::Discontinuity,
-    };
-    return schemes;
 }
 
 } // namespace ipref

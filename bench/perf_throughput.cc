@@ -69,12 +69,12 @@ main(int argc, char **argv)
     struct Case
     {
         std::string label;
-        PrefetchScheme scheme;
+        SchemeSelection scheme;
         bool bypass;
     };
-    std::vector<Case> cases = {{"none", PrefetchScheme::None, false}};
-    for (PrefetchScheme s : ctx.schemes())
-        cases.push_back({schemeName(s), s, true});
+    std::vector<Case> cases = {{"none", {}, false}};
+    for (const SchemeSelection &s : ctx.schemeSelections())
+        cases.push_back({schemeLabel(s), s, true});
 
     std::vector<Sample> samples;
     for (const auto &c : cases) {

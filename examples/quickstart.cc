@@ -4,7 +4,7 @@
  *
  * Usage:
  *   quickstart [--workload db|tpcw|japp|web|mixed] [--cores 1|4]
- *              [--scheme none|nl-miss|nl-tagged|n4l|discontinuity]
+ *              [--scheme TOKEN[:knob=val,...]]
  *              [--bypass] [--functional] [--scale X] [--stats]
  *              [--stats-json FILE] [--stats-interval N]
  *              [--trace-events N] [--trace-out FILE]
@@ -70,7 +70,8 @@ try {
 
     std::cout << "workload: " << system.config().workloadSetName()
               << "  cores: " << system.config().numCores
-              << "  scheme: " << schemeName(spec.scheme)
+              << "  scheme: "
+              << schemeDisplayName(system.config().prefetch)
               << (spec.bypassL2 ? " +bypass" : "") << "\n";
     std::cout << "instructions: " << r.instructions
               << "  cycles: " << r.cycles << "  IPC: " << r.ipc

@@ -23,8 +23,8 @@ CacheHierarchy::CacheHierarchy(const HierarchyParams &params)
     for (unsigned c = 0; c < params_.numCores; ++c) {
         CacheParams pi = params_.l1i;
         CacheParams pd = params_.l1d;
-        pi.name += "." + std::to_string(c);
-        pd.name += "." + std::to_string(c);
+        pi.name.append(".").append(std::to_string(c));
+        pd.name.append(".").append(std::to_string(c));
         l1i_.push_back(std::make_unique<SetAssocCache>(pi));
         l1d_.push_back(std::make_unique<SetAssocCache>(pd));
     }

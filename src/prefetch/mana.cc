@@ -7,10 +7,8 @@ namespace ipref
 {
 
 ManaConfig
-ManaConfig::fromKnobs(const PrefetchConfig &cfg,
-                      const KnobValues &knobs)
+ManaConfig::fromKnobs(const KnobValues &knobs)
 {
-    (void)cfg;
     ManaConfig c;
     c.tableEntries =
         static_cast<unsigned>(knobs.getUint("table", c.tableEntries));
@@ -163,10 +161,9 @@ registerManaScheme(SchemeRegistry &reg)
              [](const PrefetchConfig &cfg, const KnobValues &knobs) {
                  return std::unique_ptr<InstructionPrefetcher>(
                      std::make_unique<ManaPrefetcher>(
-                         ManaConfig::fromKnobs(cfg, knobs),
+                         ManaConfig::fromKnobs(knobs),
                          cfg.lineBytes));
-             },
-             -1});
+             }});
 }
 
 } // namespace ipref

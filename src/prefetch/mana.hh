@@ -32,8 +32,7 @@ struct ManaConfig
     unsigned chain = 8;            //!< knob "chain": records walked
                                   //!< ahead per replay
 
-    static ManaConfig fromKnobs(const PrefetchConfig &cfg,
-                                const KnobValues &knobs);
+    static ManaConfig fromKnobs(const KnobValues &knobs);
 };
 
 /** Spatially-encoded region record/replay prefetcher. */

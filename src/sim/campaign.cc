@@ -22,6 +22,13 @@ namespace ipref
 namespace
 {
 
+/**
+ * On-disk manifest format. Version 2 keys runs by the v3 spec
+ * fingerprint (one scheme token per spec); version-1 files predate
+ * that rebase and are refused on resume.
+ */
+constexpr int kManifestVersion = 2;
+
 /** Scalar counters of SimResults, by manifest key. */
 struct U64Field
 {
@@ -143,7 +150,7 @@ fingerprintSpec(const RunSpec &spec)
 {
     // SplitMix64 chain over every result-affecting field; doubles are
     // mixed by bit pattern so the fingerprint is exact, not rounded.
-    std::uint64_t h = hashString("ipref.campaign.v2");
+    std::uint64_t h = hashString("ipref.campaign.v3");
     auto mix = [&h](std::uint64_t v) {
         std::uint64_t s = h ^ v;
         h = splitMix64(s);
@@ -157,7 +164,8 @@ fingerprintSpec(const RunSpec &spec)
     mix(spec.workloads.size());
     for (WorkloadKind k : spec.workloads)
         mix(static_cast<std::uint64_t>(k));
-    mix(static_cast<std::uint64_t>(spec.scheme));
+    mix(hashString(spec.schemeToken));
+    mix(hashString(spec.schemeKnobs));
     mix(spec.degree);
     mix(spec.tableEntries);
     mix(spec.targetWays);
@@ -177,25 +185,15 @@ fingerprintSpec(const RunSpec &spec)
     mix(spec.lineBytes);
     mixDouble(spec.instrScale);
     mix(spec.baseSeed);
-    // The trace input is fingerprinted in its effective (merged)
-    // form, so the deprecated loose-field spelling and an equivalent
-    // TraceSpec hash identically. `shared` is a performance knob with
-    // no effect on results, so it is deliberately excluded.
-    TraceSpec trace = spec.effectiveTrace();
-    mix(hashString(trace.path));
-    mix(hashString(trace.preset));
-    mix(trace.loop ? 1 : 0);
-    mix(trace.tolerant ? 1 : 0);
+    // `shared` is a performance knob with no effect on results, so it
+    // is deliberately excluded.
+    mix(hashString(spec.trace.path));
+    mix(hashString(spec.trace.preset));
+    mix(spec.trace.loop ? 1 : 0);
+    mix(spec.trace.tolerant ? 1 : 0);
     mix(spec.faultAtInstr);
     mix(spec.faultTransient ? 1 : 0);
     mix(spec.faultAttempts);
-    // Registry-token schemes mix their token and knobs; legacy enum
-    // specs skip this block entirely so every pre-registry manifest
-    // fingerprint is unchanged.
-    if (!spec.schemeToken.empty() || !spec.schemeKnobs.empty()) {
-        mix(hashString(spec.schemeToken));
-        mix(hashString(spec.schemeKnobs));
-    }
     return h;
 }
 
@@ -324,7 +322,8 @@ CampaignManifest::write() const
                            "cannot write campaign manifest '" + tmp +
                                "': " + std::strerror(errno),
                            isTransientErrno(errno));
-        out << "{\n  \"version\": 1,\n  \"runs\": [";
+        out << "{\n  \"version\": " << kManifestVersion
+            << ",\n  \"runs\": [";
         bool first = true;
         for (std::uint64_t fp : order_) {
             const ManifestEntry &e = entries_.at(fp);
@@ -366,6 +365,26 @@ CampaignManifest::write() const
 Expected<CampaignManifest>
 CampaignManifest::load(const std::string &path)
 {
+    bool preRebase = false;
+    return load(path, preRebase);
+}
+
+CampaignManifest
+CampaignManifest::resume(const std::string &path)
+{
+    bool preRebase = false;
+    Expected<CampaignManifest> loaded = load(path, preRebase);
+    if (loaded.ok())
+        return std::move(loaded.value());
+    if (preRebase)
+        throw loaded.error();
+    ipref_warn("starting campaign fresh: %s", loaded.error().what());
+    return CampaignManifest(path);
+}
+
+Expected<CampaignManifest>
+CampaignManifest::load(const std::string &path, bool &preRebase)
+{
     std::ifstream in(path);
     if (!in)
         return SimError(SimError::Kind::Io,
@@ -380,7 +399,19 @@ CampaignManifest::load(const std::string &path)
     CampaignManifest m;
     try {
         JsonValue doc = parseJson(buf.str());
-        if (doc.numberOr("version", 0) != 1)
+        const double version = doc.numberOr("version", 0);
+        if (version == 1) {
+            preRebase = true;
+            return SimError(SimError::Kind::Io,
+                            "campaign manifest '" + path +
+                                "' is version 1, which predates the "
+                                "spec fingerprint rebase: none of its "
+                                "runs can be matched to a spec any "
+                                "more. Delete it (or pass a new "
+                                "--manifest) to start the campaign "
+                                "fresh");
+        }
+        if (version != kManifestVersion)
             return SimError(SimError::Kind::Io,
                             "campaign manifest '" + path +
                                 "': unsupported version");

@@ -86,6 +86,16 @@ class CampaignManifest
      */
     static Expected<CampaignManifest> load(const std::string &path);
 
+    /**
+     * The manifest a resumed campaign continues from: load(@p path),
+     * or an empty manifest at @p path (with a warning) when the file
+     * is missing or corrupt. A version-1 manifest — written before the
+     * spec fingerprint rebase, so none of its entries can match a spec
+     * again — throws SimError(Io) instead of letting the campaign
+     * silently re-run everything.
+     */
+    static CampaignManifest resume(const std::string &path);
+
     const std::string &path() const { return path_; }
     std::size_t size() const { return order_.size(); }
 
@@ -105,6 +115,9 @@ class CampaignManifest
     void write() const;
 
   private:
+    static Expected<CampaignManifest> load(const std::string &path,
+                                           bool &preRebase);
+
     std::string path_;
     std::vector<std::uint64_t> order_; //!< stable dump order
     std::map<std::uint64_t, ManifestEntry> entries_;

@@ -54,7 +54,13 @@ jsonEscape(const std::string &s)
 inline std::string
 jsonString(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
+    const std::string escaped = jsonEscape(s);
+    std::string out;
+    out.reserve(escaped.size() + 2);
+    out += '"';
+    out += escaped;
+    out += '"';
+    return out;
 }
 
 /** "0x..." hex rendering of @p v (JSON has no hex numbers). */

@@ -19,7 +19,7 @@ Options::Options(int argc, char **argv,
             continue;
         }
         std::string name = arg.substr(2);
-        std::string value;
+        std::string value = "1"; // a bare flag is boolean true
         auto eq = name.find('=');
         if (eq != std::string::npos) {
             value = name.substr(eq + 1);
@@ -27,8 +27,6 @@ Options::Options(int argc, char **argv,
         } else if (i + 1 < argc &&
                    std::string(argv[i + 1]).rfind("--", 0) != 0) {
             value = argv[++i];
-        } else {
-            value = "1"; // boolean flag
         }
         if (!known.empty() && !known.count(name))
             ipref_raise(ConfigError, "unknown option --%s", name.c_str());

@@ -16,16 +16,19 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
+#include "prefetch/scheme_registry.hh"
 #include "sim/campaign.hh"
 #include "sim/campaign_proto.hh"
 #include "sim/coordinator.hh"
 #include "sim/experiment.hh"
-#include "prefetch/prefetcher.hh"
 #include "util/fault_inject.hh"
 #include "util/json.hh"
 
@@ -36,7 +39,7 @@ namespace
 
 /** A fast functional spec the end-to-end tests can run in ~10ms. */
 RunSpec
-quickSpec(PrefetchScheme scheme = PrefetchScheme::NextLineTagged,
+quickSpec(std::string scheme = "nl-tagged",
           unsigned degree = 2, std::uint64_t seed = 1)
 {
     return RunSpec::builder()
@@ -54,7 +57,7 @@ quickSpecs(std::size_t n)
 {
     std::vector<RunSpec> specs;
     for (std::size_t i = 0; i < n; ++i)
-        specs.push_back(quickSpec(PrefetchScheme::NextLineTagged,
+        specs.push_back(quickSpec("nl-tagged",
                                   1u + static_cast<unsigned>(i % 4),
                                   1 + i / 4));
     return specs;
@@ -108,11 +111,11 @@ haveWorker()
 
 TEST(CampaignProto, SpecRoundTripsEverySchemeExactly)
 {
-    for (const SchemeInfo &info : schemeRegistry()) {
+    for (const SchemeDescriptor *d : SchemeRegistry::instance().all()) {
         RunSpec spec = RunSpec::builder()
                            .workloads({WorkloadKind::WEB,
                                        WorkloadKind::JAPP})
-                           .scheme(info.scheme)
+                           .scheme(d->token)
                            .degree(3)
                            .tableEntries(4096)
                            .targetWays(1)
@@ -130,7 +133,7 @@ TEST(CampaignProto, SpecRoundTripsEverySchemeExactly)
         ASSERT_TRUE(back.ok()) << back.error().what();
         EXPECT_EQ(fingerprintSpec(spec),
                   fingerprintSpec(back.value()))
-            << "scheme " << info.token;
+            << "scheme " << d->token;
     }
 }
 
@@ -318,7 +321,7 @@ TEST(ManifestLockTest, SecondHolderFailsFastWithIoError)
     }
     first.release();
     EXPECT_FALSE(first.held());
-    EXPECT_NO_THROW(ManifestLock(path));
+    EXPECT_NO_THROW(ManifestLock{path});
     std::remove((path + ".lock").c_str());
 }
 
@@ -476,6 +479,58 @@ TEST(CampaignE2E, PoisonSpecIsQuarantinedAfterRepeatedDeaths)
     ASSERT_EQ(resumed.size(), 1u);
     EXPECT_EQ(resumed[0].status, RunStatus::Ok) << resumed[0].error;
     EXPECT_EQ(resumed[0].attempts, 4u); // numbering spans the resume
+    std::remove(manifest.c_str());
+    std::remove((manifest + ".lock").c_str());
+}
+
+TEST(CampaignResume, PreRebaseManifestIsRefused)
+{
+    // A version-1 manifest keys runs by pre-rebase fingerprints that
+    // no spec produces any more: resuming from it must fail loudly
+    // (batch and coordinator alike), not quietly re-run everything
+    // and overwrite it.
+    std::string manifest = tmpPath("v1");
+    const std::string v1 =
+        "{\n  \"version\": 1,\n  \"runs\": [\n    {\"fingerprint\": "
+        "\"0x1234\", \"status\": \"failed\", \"attempts\": 1, "
+        "\"wall_ms\": 5, \"error_kind\": \"io\", \"error\": \"x\"}"
+        "\n  ]\n}\n";
+    {
+        std::ofstream out(manifest);
+        out << v1;
+    }
+    auto expectRefused = [&](const std::function<void()> &resume) {
+        try {
+            resume();
+            ADD_FAILURE() << "resumed from a version-1 manifest";
+        } catch (const SimError &e) {
+            EXPECT_EQ(e.kind(), SimError::Kind::Io);
+            EXPECT_NE(std::string(e.what()).find("predates the spec "
+                                                 "fingerprint rebase"),
+                      std::string::npos)
+                << e.what();
+        }
+        std::ifstream in(manifest);
+        std::stringstream left;
+        left << in.rdbuf();
+        EXPECT_EQ(left.str(), v1) << "the old manifest was rewritten";
+    };
+
+    BatchOptions batch;
+    batch.manifestPath = manifest;
+    batch.resume = true;
+    expectRefused([&] { runBatch(quickSpecs(2), batch); });
+
+    CampaignOptions campaign = testCampaign(1);
+    campaign.batch = batch;
+    campaign.workerCmd = "/nonexistent/worker/binary";
+    expectRefused([&] { runCampaign(quickSpecs(2), campaign); });
+
+    // Monitoring readers still get an answer, not an exception.
+    Expected<CampaignManifest> loaded = CampaignManifest::load(manifest);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.error().kind(), SimError::Kind::Io);
+
     std::remove(manifest.c_str());
     std::remove((manifest + ".lock").c_str());
 }

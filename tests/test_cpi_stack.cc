@@ -34,27 +34,22 @@ busyIdx()
 // completing each run is half the assertion.
 TEST(CpiStack, ConservationFuzzAcrossSchemesAndWorkloads)
 {
-    const PrefetchScheme schemes[] = {
-        PrefetchScheme::None,
-        PrefetchScheme::NextLineTagged,
-        PrefetchScheme::NextNLineTagged,
-        PrefetchScheme::Discontinuity,
-    };
+    const char *const schemes[] = {"none", "nl-tagged", "n4l",
+                                   "discontinuity"};
     const WorkloadKind workloads[] = {WorkloadKind::DB,
                                       WorkloadKind::WEB};
     for (bool cmp : {false, true}) {
-        for (PrefetchScheme scheme : schemes) {
+        for (const char *scheme : schemes) {
             for (WorkloadKind w : workloads) {
                 RunSpec spec;
                 spec.cmp = cmp;
                 spec.workloads = {w};
-                spec.scheme = scheme;
+                spec.schemeToken = scheme;
                 spec.instrScale = 0.02;
                 SimResults r = runSpec(spec);
                 std::uint64_t cores = cmp ? 4 : 1;
                 EXPECT_EQ(r.cpiStackTotal(), r.cycles * cores)
-                    << "scheme " << schemeName(scheme) << " cmp "
-                    << cmp;
+                    << "scheme " << scheme << " cmp " << cmp;
                 EXPECT_GT(r.cpiStack[busyIdx()], 0u);
             }
         }
@@ -85,7 +80,7 @@ TEST(CpiStack, TraceEventsResumToLedger)
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::DB};
-    spec.scheme = PrefetchScheme::Discontinuity;
+    spec.schemeToken = "discontinuity";
     spec.instrScale = 0.05;
     SystemConfig cfg = makeConfig(spec);
     cfg.traceCapacity = 1u << 22; // ample: the ring must not wrap
@@ -130,7 +125,7 @@ TEST(CpiStack, IntervalDeltasSumToTotal)
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::WEB};
-    spec.scheme = PrefetchScheme::NextLineTagged;
+    spec.schemeToken = "nl-tagged";
     spec.instrScale = 0.1;
     SystemConfig cfg = makeConfig(spec);
     cfg.statsIntervalInstrs = 30'000;
@@ -159,7 +154,7 @@ TEST(CpiStack, JsonReportSection)
     RunSpec spec;
     spec.cmp = false;
     spec.workloads = {WorkloadKind::JAPP};
-    spec.scheme = PrefetchScheme::NextLineOnMiss;
+    spec.schemeToken = "nl-miss";
     spec.instrScale = 0.05;
     System system(makeConfig(spec));
     system.run();
@@ -198,7 +193,7 @@ TEST(CpiStack, ManifestRoundTripAndBackCompat)
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::TPCW};
-    spec.scheme = PrefetchScheme::NextNLineTagged;
+    spec.schemeToken = "n4l";
     spec.instrScale = 0.02;
     SimResults r = runSpec(spec);
     ASSERT_GT(r.cpiStackTotal(), 0u);

@@ -249,7 +249,7 @@ TEST(FaultTolerance, BatchIsolatesFailures)
     RunSpec good1 = quickSpec(11);
     RunSpec good2 = quickSpec(22);
     RunSpec corrupt = quickSpec(33);
-    corrupt.tracePath = corruptPath;
+    corrupt.trace = TraceSpec::file(corruptPath);
     RunSpec faulty = quickSpec(44);
     faulty.faultAtInstr = 5000;
 
@@ -313,8 +313,7 @@ TEST(FaultTolerance, TolerantTraceRunSalvages)
     writeFileBytes(path, bytes);
 
     RunSpec spec = quickSpec(5);
-    spec.tracePath = path;
-    spec.traceTolerant = true;
+    spec.trace = TraceSpec::file(path, /*tolerantRead=*/true);
     BatchOptions opt;
     opt.maxAttempts = 1;
     std::vector<RunOutcome> outcomes = runBatch({spec}, opt);

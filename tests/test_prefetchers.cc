@@ -12,7 +12,10 @@
 
 #include "prefetch/discontinuity.hh"
 #include "prefetch/next_line.hh"
+#include "prefetch/scheme_registry.hh"
 #include "prefetch/target_prefetcher.hh"
+#include "sim/campaign.hh"
+#include "sim/experiment.hh"
 
 using namespace ipref;
 
@@ -304,32 +307,56 @@ TEST(TargetPrefetcher, SequentialSuccessorsNotRecorded)
 
 TEST(Factory, CreatesAllSchemes)
 {
-    for (PrefetchScheme s :
-         {PrefetchScheme::NextLineAlways, PrefetchScheme::NextLineOnMiss,
-          PrefetchScheme::NextLineTagged,
-          PrefetchScheme::NextNLineTagged, PrefetchScheme::LookaheadN,
-          PrefetchScheme::Discontinuity,
-          PrefetchScheme::TargetHistory}) {
+    for (const char *s : {"nl-always", "nl-miss", "nl-tagged", "n4l",
+                          "lookahead", "discontinuity", "target"}) {
         PrefetchConfig cfg;
-        cfg.scheme = s;
+        cfg.schemeToken = s;
         auto p = createPrefetcher(cfg);
-        ASSERT_NE(p, nullptr) << schemeName(s);
+        ASSERT_NE(p, nullptr) << s;
         EXPECT_NE(p->name(), nullptr);
     }
     PrefetchConfig none;
     EXPECT_EQ(createPrefetcher(none), nullptr);
+    PrefetchConfig bogus;
+    bogus.schemeToken = "bogus";
+    test::expectThrows<ConfigError>([&] { createPrefetcher(bogus); },
+                                    "unknown prefetch scheme");
 }
 
-TEST(Factory, ParseSchemeRoundTrip)
+TEST(Factory, EveryTokenAndAliasCanonicalizes)
 {
-    EXPECT_EQ(parseScheme("none"), PrefetchScheme::None);
-    EXPECT_EQ(parseScheme("nl-miss"), PrefetchScheme::NextLineOnMiss);
-    EXPECT_EQ(parseScheme("nl-tagged"),
-              PrefetchScheme::NextLineTagged);
-    EXPECT_EQ(parseScheme("n4l"), PrefetchScheme::NextNLineTagged);
-    EXPECT_EQ(parseScheme("discontinuity"),
-              PrefetchScheme::Discontinuity);
-    EXPECT_EQ(parseScheme("target"), PrefetchScheme::TargetHistory);
-    test::expectThrows<ConfigError>([] { parseScheme("bogus"); },
-                                    "unknown prefetch scheme");
+    // One scheme, one encoding: every spelling the registry accepts
+    // (canonical token or alias) parses to the canonical token, builds
+    // the same RunSpec and fingerprints identically.
+    for (const SchemeDescriptor *d : SchemeRegistry::instance().all()) {
+        const RunSpec canonical =
+            RunSpec::builder().scheme(d->token).build();
+        EXPECT_EQ(canonical.schemeToken, d->token);
+        std::vector<std::string> names{d->token};
+        names.insert(names.end(), d->aliases.begin(), d->aliases.end());
+        for (const std::string &name : names) {
+            SCOPED_TRACE(name);
+            EXPECT_EQ(parseSchemeSpec(name).token, d->token);
+            const RunSpec viaBuilder =
+                RunSpec::builder().scheme(name).build();
+            RunSpec raw;
+            raw.schemeToken = name;
+            const RunSpec viaField = RunSpec::Builder(raw).build();
+            for (const RunSpec &s : {viaBuilder, viaField}) {
+                EXPECT_EQ(s.schemeToken, d->token);
+                EXPECT_EQ(s.schemeKnobs, canonical.schemeKnobs);
+                EXPECT_EQ(fingerprintSpec(s),
+                          fingerprintSpec(canonical));
+            }
+        }
+    }
+    // The aliases scripts pin must keep resolving.
+    for (auto [alias, token] :
+         std::vector<std::pair<const char *, const char *>>{
+             {"disc", "discontinuity"},
+             {"nnl-tagged", "n4l"},
+             {"wrongpath", "wrong-path"},
+             {"cgp", "call-graph"},
+             {"sisb", "isb"}})
+        EXPECT_EQ(parseSchemeSpec(alias).token, token) << alias;
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
 
 #include "sim/experiment.hh"
@@ -31,8 +32,24 @@ sumTransitions(const std::array<
 } // namespace
 
 using PropertyParams =
-    std::tuple<WorkloadKind, PrefetchScheme, bool /*cmp*/,
+    std::tuple<WorkloadKind, std::string, bool /*cmp*/,
                bool /*bypass*/>;
+
+std::string
+propertyName(const ::testing::TestParamInfo<PropertyParams> &p)
+{
+    static const std::map<std::string, std::string> schemeNames = {
+        {"none", "None"},          {"nl-tagged", "NL"},
+        {"discontinuity", "Disc"}, {"target", "Target"},
+        {"wrong-path", "WrongPath"}};
+    auto [kind, scheme, cmp, bypass] = p.param;
+    std::string n = workloadName(kind);
+    n.erase(std::remove(n.begin(), n.end(), '-'), n.end());
+    n += schemeNames.at(scheme);
+    n += cmp ? "Cmp" : "Single";
+    n += bypass ? "Bypass" : "Install";
+    return n;
+}
 
 class SimInvariants
     : public ::testing::TestWithParam<PropertyParams>
@@ -45,7 +62,7 @@ class SimInvariants
         RunSpec spec;
         spec.cmp = cmp;
         spec.workloads = {kind};
-        spec.scheme = scheme;
+        spec.schemeToken = scheme;
         spec.bypassL2 = bypass;
         spec.instrScale = 0.08;
         return runSpec(spec);
@@ -90,7 +107,7 @@ TEST_P(SimInvariants, AccountingHolds)
     auto [kind, scheme, cmp, bypass] = GetParam();
     (void)kind;
     (void)cmp;
-    if (scheme == PrefetchScheme::None) {
+    if (scheme == "none") {
         EXPECT_EQ(r.pfIssued, 0u);
         // Without prefetching, off-chip reads are exactly the
         // demand L2 misses (modulo in-flight at the window edges).
@@ -118,31 +135,10 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, SimInvariants,
     ::testing::Combine(
         ::testing::Values(WorkloadKind::TPCW, WorkloadKind::WEB),
-        ::testing::Values(PrefetchScheme::None,
-                          PrefetchScheme::NextLineTagged,
-                          PrefetchScheme::Discontinuity,
-                          PrefetchScheme::TargetHistory,
-                          PrefetchScheme::WrongPath),
+        ::testing::Values("none", "nl-tagged", "discontinuity",
+                          "target", "wrong-path"),
         ::testing::Bool(), ::testing::Bool()),
-    [](const auto &info) {
-        WorkloadKind kind = std::get<0>(info.param);
-        PrefetchScheme scheme = std::get<1>(info.param);
-        bool cmp = std::get<2>(info.param);
-        bool bypass = std::get<3>(info.param);
-        std::string n = workloadName(kind);
-        n.erase(std::remove(n.begin(), n.end(), '-'), n.end());
-        switch (scheme) {
-          case PrefetchScheme::None: n += "None"; break;
-          case PrefetchScheme::NextLineTagged: n += "NL"; break;
-          case PrefetchScheme::Discontinuity: n += "Disc"; break;
-          case PrefetchScheme::TargetHistory: n += "Target"; break;
-          case PrefetchScheme::WrongPath: n += "WrongPath"; break;
-          default: n += "X"; break;
-        }
-        n += cmp ? "Cmp" : "Single";
-        n += bypass ? "Bypass" : "Install";
-        return n;
-    });
+    propertyName);
 
 TEST(SimProperties, L2CapacityMonotonicity)
 {
@@ -169,7 +165,7 @@ TEST(SimProperties, DegreeIncreasesCoverage)
         RunSpec spec;
         spec.cmp = true;
         spec.workloads = {WorkloadKind::DB};
-        spec.scheme = PrefetchScheme::NextNLineTagged;
+        spec.schemeToken = "n4l";
         spec.degree = n;
         spec.instrScale = 0.15;
         SimResults r = runSpec(spec);

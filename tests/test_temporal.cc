@@ -13,9 +13,6 @@
  *    parseSchemeSpec / RunSpec::Builder / fingerprintSpec;
  *  - unknown tokens, unknown knobs and out-of-range values raise
  *    ConfigError at parse/build time;
- *  - the deprecated PrefetchScheme enum shim is observationally
- *    equivalent to the registry token path (same fingerprint, bit
- *    identical results);
  *  - the batched fetch pipeline and functional-mode lockstep remain
  *    observational no-ops (cap 1 == cap 512) for the stateful
  *    temporal schemes, including the new pfMeta* result fields.
@@ -149,8 +146,7 @@ customScheme()
                  return std::unique_ptr<InstructionPrefetcher>(
                      std::make_unique<ManaPrefetcher>(ManaConfig{},
                                                       cfg.lineBytes));
-             },
-             -1});
+             }});
         return true;
     }();
     (void)registered;
@@ -242,7 +238,6 @@ TEST(SchemeRegistry, CustomSchemeRoundTrips)
                     .workload(WorkloadKind::WEB)
                     .scheme(sel)
                     .build();
-    EXPECT_EQ(s.scheme, PrefetchScheme::None);
     EXPECT_EQ(s.schemeToken, "unit-custom");
     EXPECT_EQ(s.schemeKnobs, "boost=3");
 
@@ -279,40 +274,6 @@ TEST(SchemeRegistry, BadSelectionsRaiseConfigError)
     raw.schemeKnobs = "bogus=1";
     expectThrows<ConfigError>(
         [&] { RunSpec::Builder(raw).build(); }, "bogus");
-    RunSpec both;
-    both.scheme = PrefetchScheme::Discontinuity;
-    both.schemeToken = "domino";
-    expectThrows<ConfigError>(
-        [&] { RunSpec::Builder(both).build(); }, "deprecated");
-}
-
-TEST(SchemeRegistry, DeprecatedEnumShimIsEquivalent)
-{
-    // Every legacy enum value round-trips through its token.
-    for (const SchemeDescriptor *d : SchemeRegistry::instance().all())
-        if (d->legacy >= 0)
-            EXPECT_EQ(parseScheme(d->token),
-                      static_cast<PrefetchScheme>(d->legacy))
-                << d->token;
-
-    // A legacy token collapses onto the enum: same spec, same
-    // fingerprint, bit-identical results as the enum path.
-    RunSpec viaToken = RunSpec::Builder()
-                           .cmp(false)
-                           .workload(WorkloadKind::WEB)
-                           .scheme("n4l")
-                           .instrScale(0.05)
-                           .build();
-    RunSpec viaEnum = RunSpec::Builder()
-                          .cmp(false)
-                          .workload(WorkloadKind::WEB)
-                          .scheme(PrefetchScheme::NextNLineTagged)
-                          .instrScale(0.05)
-                          .build();
-    EXPECT_EQ(viaToken.scheme, PrefetchScheme::NextNLineTagged);
-    EXPECT_TRUE(viaToken.schemeToken.empty());
-    EXPECT_EQ(fingerprintSpec(viaToken), fingerprintSpec(viaEnum));
-    expectIdentical(runSpec(viaToken), runSpec(viaEnum));
 }
 
 TEST(TemporalBatchedPipeline, TimingResultsMatchScalar)

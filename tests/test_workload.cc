@@ -57,8 +57,9 @@ TEST(Cfg, StructuralInvariants)
         // The last block returns (except the dispatcher's loop).
         const BasicBlock &last =
             blocks[fn.firstBlock + fn.numBlocks - 1];
-        if (&fn != &funcs[0])
+        if (&fn != &funcs[0]) {
             EXPECT_EQ(last.term, TermKind::Return);
+        }
         // Branch targets stay inside the function.
         for (std::uint32_t b = 0; b < fn.numBlocks; ++b) {
             const BasicBlock &bb = blocks[fn.firstBlock + b];
@@ -70,8 +71,9 @@ TEST(Cfg, StructuralInvariants)
                           fn.firstBlock + fn.numBlocks);
             }
             if (bb.term == TermKind::Call ||
-                (bb.term == TermKind::UncondBranch && bb.isTailCall))
+                (bb.term == TermKind::UncondBranch && bb.isTailCall)) {
                 EXPECT_LT(bb.targetFunc, funcs.size());
+            }
         }
     }
 }
@@ -232,8 +234,9 @@ TEST(Workload, DisjointDataSegmentsPerCore)
     }
     for (int i = 0; i < 50000; ++i) {
         w1->next(r);
-        if (r.isMem())
+        if (r.isMem()) {
             EXPECT_EQ(lines0.count(r.dataAddr >> 6), 0u);
+        }
     }
 }
 
