@@ -174,13 +174,4 @@ SetAssocCache::validLines() const
     return n;
 }
 
-void
-SetAssocCache::registerStats(StatGroup &group)
-{
-    group.addCounter("hits", &hits, "demand hits");
-    group.addCounter("misses", &misses, "demand misses");
-    group.addCounter("insertions", &insertions, "lines installed");
-    group.addCounter("evictions", &evictions, "valid lines evicted");
-}
-
 } // namespace ipref

@@ -132,9 +132,6 @@ class SetAssocCache
     Counter insertions;
     Counter evictions;
 
-    /** Register this cache's counters in @p group. */
-    void registerStats(StatGroup &group);
-
   private:
     /** Packed per-line flag bits (meta_ entries). */
     enum MetaBits : std::uint8_t

@@ -57,27 +57,11 @@ Tlb::Tlb(const TlbParams &params)
 Cycle
 Tlb::translate(Addr addr)
 {
-    ++accesses;
     if (l1_.access(addr))
         return 0;
-    ++l1Misses;
-    if (l2_.access(addr)) {
-        penaltyCycles += params_.l2HitPenalty;
+    if (l2_.access(addr))
         return params_.l2HitPenalty;
-    }
-    ++walks;
-    penaltyCycles += params_.walkPenalty;
     return params_.walkPenalty;
-}
-
-void
-Tlb::registerStats(StatGroup &group)
-{
-    group.addCounter("accesses", &accesses);
-    group.addCounter("l1_misses", &l1Misses);
-    group.addCounter("walks", &walks);
-    group.addCounter("penalty_cycles", &penaltyCycles,
-                     "translation penalty cycles handed to fetch");
 }
 
 } // namespace ipref

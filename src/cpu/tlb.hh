@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "util/stats.hh"
 #include "util/types.hh"
 
 namespace ipref
@@ -65,13 +64,6 @@ class Tlb
      * @return the added penalty in cycles (0 on an L1 TLB hit).
      */
     Cycle translate(Addr addr);
-
-    Counter accesses;
-    Counter l1Misses;
-    Counter walks;
-    Counter penaltyCycles; //!< total penalty cycles returned
-
-    void registerStats(StatGroup &group);
 
   private:
     TlbParams params_;

@@ -1,49 +1,10 @@
 #include "prefetch/engine.hh"
 
 #include "prefetch/fetch_profiler.hh"
-#include "util/metrics.hh"
 #include "util/trace_event.hh"
 
 namespace ipref
 {
-
-namespace
-{
-
-/**
- * Process-wide prefetch telemetry, summed across every engine (all
- * cores, all concurrent runs). Per-run attribution stays in the
- * StatGroup counters; these exist so ipref_top can show aggregate
- * issue/useful rates while a campaign executes.
- */
-struct EngineMetricRefs
-{
-    metrics::Counter &issued;
-    metrics::Counter &useful;
-    metrics::Counter &useless;
-    metrics::Gauge &inFlight;
-};
-
-EngineMetricRefs &
-engineMetrics()
-{
-    static EngineMetricRefs refs{
-        metrics::registry().counter("ipref_prefetch_issued_total",
-                                    "prefetch fills started"),
-        metrics::registry().counter(
-            "ipref_prefetch_useful_total",
-            "prefetched lines credited at first use"),
-        metrics::registry().counter(
-            "ipref_prefetch_useless_total",
-            "prefetched lines evicted without use"),
-        metrics::registry().gauge(
-            "ipref_prefetch_in_flight",
-            "issued, not yet used / evicted / replaced"),
-    };
-    return refs;
-}
-
-} // namespace
 
 PrefetchEngine::PrefetchEngine(const PrefetchConfig &cfg, CoreId core,
                                CacheHierarchy &hierarchy)
@@ -64,14 +25,6 @@ PrefetchEngine::PrefetchEngine(const PrefetchConfig &cfg, CoreId core,
             cfg.confidenceThreshold);
 }
 
-PrefetchEngine::~PrefetchEngine()
-{
-    // Lifecycles still unresolved at teardown leave the process-wide
-    // in-flight gauge; without this, destroyed runs would pin it high.
-    engineMetrics().inFlight.sub(
-        static_cast<std::int64_t>(origins_.size()));
-}
-
 void
 PrefetchEngine::credit(Addr lineAddr, Cycle now)
 {
@@ -80,7 +33,6 @@ PrefetchEngine::credit(Addr lineAddr, Cycle now)
         return;
     const LivePrefetch &lp = it->second;
     ++usefulPrefetches;
-    engineMetrics().useful.add(1);
     ++usefulByOrigin[static_cast<std::size_t>(lp.origin)];
     if (now >= lp.issuedAt)
         issueToUse_.add(now - lp.issuedAt);
@@ -95,7 +47,6 @@ PrefetchEngine::credit(Addr lineAddr, Cycle now)
                                     true);
     lastCredit_ = {lineAddr, lp.origin, lp.id};
     origins_.erase(it);
-    engineMetrics().inFlight.sub(1);
 }
 
 void
@@ -210,7 +161,6 @@ PrefetchEngine::issueOne(Cycle now)
       case PrefetchOutcome::Issued:
       case PrefetchOutcome::Merged: {
         ++issued;
-        engineMetrics().issued.add(1);
         ++issuedByOrigin[static_cast<std::size_t>(cand->origin)];
         if (res.fromMemory)
             ++issuedOffChip;
@@ -227,7 +177,6 @@ PrefetchEngine::issueOne(Cycle now)
                         static_cast<std::uint8_t>(it->second.origin),
                         now, it->second.trigger);
             origins_.erase(it);
-            engineMetrics().inFlight.sub(1);
         }
         LivePrefetch lp;
         lp.origin = cand->origin;
@@ -243,7 +192,6 @@ PrefetchEngine::issueOne(Cycle now)
         if (profiler_)
             profiler_->prefetchIssued(lp.trigger, line, lp.origin);
         origins_.emplace(line, lp);
-        engineMetrics().inFlight.add(1);
         break;
       }
       case PrefetchOutcome::DroppedPresent:
@@ -279,7 +227,6 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
     auto it = origins_.find(lineAddr);
     if (!used) {
         ++uselessPrefetches;
-        engineMetrics().useless.add(1);
         if (it != origins_.end()) {
             IPREF_TRACE(TraceEventType::PrefetchUseless, core_,
                         lineAddr, it->second.id,
@@ -290,7 +237,6 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
                                             lineAddr,
                                             it->second.origin, false);
             origins_.erase(it);
-            engineMetrics().inFlight.sub(1);
         } else {
             IPREF_TRACE(TraceEventType::PrefetchUseless, core_,
                         lineAddr, 0, 0, TraceSink::traceNowHint);
@@ -300,7 +246,6 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
         // used but the use event was not observed — close the
         // lifecycle as useful without a latency sample.
         ++uncreditedUseful;
-        engineMetrics().useful.add(1);
         ++usefulByOrigin[static_cast<std::size_t>(it->second.origin)];
         IPREF_TRACE(TraceEventType::PrefetchUseful, core_, lineAddr,
                     it->second.id,
@@ -310,7 +255,6 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
             profiler_->prefetchResolved(it->second.trigger, lineAddr,
                                         it->second.origin, true);
         origins_.erase(it);
-        engineMetrics().inFlight.sub(1);
     }
 }
 

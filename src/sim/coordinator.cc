@@ -232,9 +232,7 @@ Coordinator::resumeFromManifest()
             o.jsonReport = e->jsonReport;
             outcomes_[i] = std::move(o);
             finalized_[i] = true;
-            metrics::registry()
-                .counter("ipref_batch_runs_restored_total")
-                .add(1);
+            accountBatchRun(BatchStep::Restored);
             // Keep the completed entry in the rewritten manifest.
             manifest_.record(*e);
         } else {
@@ -376,28 +374,9 @@ Coordinator::finalize(std::size_t idx, RunOutcome outcome)
     finalized_[idx] = true;
     --remaining_;
 
-    const RunOutcome &o = outcomes_[idx];
-    metrics::Registry &reg = metrics::registry();
-    reg.counter("ipref_batch_runs_completed_total").add(1);
-    switch (o.status) {
-      case RunStatus::Ok:
-        reg.counter("ipref_batch_runs_ok_total").add(1);
-        break;
-      case RunStatus::TimedOut:
-        reg.counter("ipref_batch_runs_timeout_total").add(1);
-        break;
-      case RunStatus::Interrupted:
-        reg.counter("ipref_batch_runs_interrupted_total").add(1);
-        break;
-      case RunStatus::Quarantined:
+    accountBatchRun(BatchStep::Final, &outcomes_[idx]);
+    if (outcomes_[idx].status == RunStatus::Quarantined)
         campMetrics().quarantined.add(1);
-        reg.counter("ipref_batch_runs_failed_total").add(1);
-        break;
-      case RunStatus::Failed:
-      default:
-        reg.counter("ipref_batch_runs_failed_total").add(1);
-        break;
-    }
     recordManifest(idx);
 }
 
@@ -496,6 +475,7 @@ Coordinator::handleWorkerDeath(std::size_t slot, const char *why)
                inFlight >= 0 ? "; requeueing its spec" : "");
 
     if (inFlight >= 0) {
+        accountBatchRun(BatchStep::Left);
         std::size_t idx = static_cast<std::size_t>(inFlight);
         if (draining_) {
             RunOutcome o;
@@ -537,19 +517,7 @@ Coordinator::handleOutcome(std::size_t slot, ProtoMessage &m)
     w.runningIdx = -1;
     w.lastBeat = Clock::now();
 
-    metrics::Registry &reg = metrics::registry();
-    unsigned consumed =
-        m.outcome.attempts > priorAttempts_[idx]
-            ? m.outcome.attempts - priorAttempts_[idx]
-            : 1;
-    reg.counter("ipref_batch_attempts_total").add(consumed);
-    if (consumed > 1)
-        reg.counter("ipref_batch_retries_total").add(consumed - 1);
-    metrics::registry()
-        .histogram("ipref_batch_run_wall_ms",
-                   metrics::defaultMsBounds())
-        .observe(static_cast<double>(m.outcome.wallMs));
-
+    accountBatchRun(BatchStep::Left, &m.outcome, priorAttempts_[idx]);
     finalize(idx, std::move(m.outcome));
 }
 
@@ -645,9 +613,7 @@ Coordinator::dispatch()
                     specs_[idx]) +
             "\n";
         w.runningIdx = static_cast<std::int64_t>(idx);
-        metrics::registry()
-            .counter("ipref_batch_runs_started_total")
-            .add(1);
+        accountBatchRun(BatchStep::Started);
         campMetrics().dispatches.add(1);
         if (!writeAll(w.toFd, line))
             handleWorkerDeath(slot, "pipe closed on dispatch");
@@ -906,16 +872,14 @@ std::vector<RunOutcome>
 Coordinator::run()
 {
     fingerprints_.reserve(specs_.size());
-    for (const RunSpec &spec : specs_)
+    for (const RunSpec &spec : specs_) {
         fingerprints_.push_back(fingerprintSpec(spec));
+        accountBatchRun(BatchStep::Submitted);
+    }
     outcomes_.resize(specs_.size());
     finalized_.assign(specs_.size(), false);
     priorAttempts_.assign(specs_.size(), 0);
     deathCount_.assign(specs_.size(), 0);
-
-    metrics::registry()
-        .counter("ipref_batch_specs_total")
-        .add(specs_.size());
 
     // Single-writer guard + (optional) resume, sharing the runBatch
     // manifest format and semantics.

@@ -53,7 +53,7 @@ batchMetrics()
 {
     static BatchMetricRefs refs{
         metrics::registry().counter("ipref_batch_specs_total",
-                                    "specs submitted to runBatch"),
+                                    "specs submitted to a batch"),
         metrics::registry().counter("ipref_batch_runs_started_total",
                                     "runs entering their failure "
                                     "domain"),
@@ -575,16 +575,11 @@ runOne(const RunSpec &spec, std::uint64_t fingerprint,
     auto t0 = std::chrono::steady_clock::now();
     unsigned maxAttempts = opt.maxAttempts ? opt.maxAttempts : 1;
 
-    BatchMetricRefs &bm = batchMetrics();
-    bm.started.add(1);
-    bm.active.add(1);
+    accountBatchRun(BatchStep::Started);
 
     for (unsigned local = 1; local <= maxAttempts; ++local) {
         unsigned attempt = priorAttempts + local;
         wr.outcome.attempts = attempt;
-        bm.attempts.add(1);
-        if (local > 1)
-            bm.retries.add(1);
         if (g_batchSigint) {
             wr.outcome.status = RunStatus::Interrupted;
             wr.outcome.errorKind = SimError::Kind::Interrupted;
@@ -643,28 +638,8 @@ runOne(const RunSpec &spec, std::uint64_t fingerprint,
             std::chrono::steady_clock::now() - t0)
             .count());
 
-    bm.active.sub(1);
-    bm.completed.add(1);
-    bm.wallMs.observe(static_cast<double>(wr.outcome.wallMs));
-    switch (wr.outcome.status) {
-      case RunStatus::Ok:
-        bm.ok.add(1);
-        break;
-      case RunStatus::Failed:
-        bm.failed.add(1);
-        break;
-      case RunStatus::TimedOut:
-        bm.timedOut.add(1);
-        break;
-      case RunStatus::Interrupted:
-        bm.interrupted.add(1);
-        break;
-      case RunStatus::Quarantined:
-        // runOne never quarantines (that is a coordinator decision);
-        // count it as a failure if it ever shows up here.
-        bm.failed.add(1);
-        break;
-    }
+    accountBatchRun(BatchStep::Left, &wr.outcome, priorAttempts);
+    accountBatchRun(BatchStep::Final, &wr.outcome);
     return wr;
 }
 
@@ -723,12 +698,12 @@ runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
             ? CampaignManifest::resume(opt.manifestPath)
             : CampaignManifest(opt.manifestPath);
 
-    batchMetrics().specs.add(specs.size());
-
     std::vector<std::uint64_t> fingerprints;
     fingerprints.reserve(specs.size());
-    for (const RunSpec &spec : specs)
+    for (const RunSpec &spec : specs) {
         fingerprints.push_back(fingerprintSpec(spec));
+        accountBatchRun(BatchStep::Submitted);
+    }
 
     g_batchSigint = 0;
     auto prevHandler = std::signal(SIGINT, batchSigintHandler);
@@ -774,7 +749,7 @@ runBatch(const std::vector<RunSpec> &specs, const BatchOptions &opt)
                 o.wallMs = 0;
                 o.fromCheckpoint = true;
                 o.jsonReport = e.jsonReport;
-                batchMetrics().restored.add(1);
+                accountBatchRun(BatchStep::Restored);
                 commitCheckpointed(e);
                 continue;
             }
@@ -820,6 +795,54 @@ runIsolated(const RunSpec &spec, const BatchOptions &opt,
                              priorAttempts, opt, watchdog);
     wr.outcome.jsonReport = std::move(wr.output.jsonReport);
     return wr.outcome;
+}
+
+void
+accountBatchRun(BatchStep step, const RunOutcome *outcome,
+                unsigned priorAttempts)
+{
+    BatchMetricRefs &bm = batchMetrics();
+    switch (step) {
+      case BatchStep::Submitted:
+        bm.specs.add(1);
+        break;
+      case BatchStep::Restored:
+        bm.restored.add(1);
+        break;
+      case BatchStep::Started:
+        bm.started.add(1);
+        bm.active.add(1);
+        break;
+      case BatchStep::Left:
+        bm.active.sub(1);
+        if (outcome) {
+            unsigned consumed = outcome->attempts > priorAttempts
+                                    ? outcome->attempts - priorAttempts
+                                    : 1;
+            bm.attempts.add(consumed);
+            bm.retries.add(consumed - 1);
+            bm.wallMs.observe(static_cast<double>(outcome->wallMs));
+        }
+        break;
+      case BatchStep::Final:
+        bm.completed.add(1);
+        switch (outcome ? outcome->status : RunStatus::Failed) {
+          case RunStatus::Ok:
+            bm.ok.add(1);
+            break;
+          case RunStatus::TimedOut:
+            bm.timedOut.add(1);
+            break;
+          case RunStatus::Interrupted:
+            bm.interrupted.add(1);
+            break;
+          case RunStatus::Failed:
+          case RunStatus::Quarantined:
+            bm.failed.add(1);
+            break;
+        }
+        break;
+    }
 }
 
 void

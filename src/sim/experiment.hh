@@ -363,6 +363,28 @@ std::vector<RunOutcome> runBatch(const std::vector<RunSpec> &specs,
 RunOutcome runIsolated(const RunSpec &spec, const BatchOptions &opt,
                        unsigned priorAttempts = 0);
 
+/** One step of a spec's life in a batch, for live accounting. */
+enum class BatchStep : std::uint8_t
+{
+    Submitted, //!< entered a batch
+    Restored,  //!< restored from a campaign checkpoint, not re-run
+    Started,   //!< took an execution lane
+    Left,      //!< left its lane
+    Final,     //!< reached its final status
+};
+
+/**
+ * Live batch accounting (the `ipref_batch_*` instruments), shared by
+ * runBatch and the campaign coordinator so both streams mean the same
+ * thing. Left with an @p outcome counts the attempts it consumed
+ * beyond @p priorAttempts (those past the first are retries) and
+ * observes its wall time; without one (its worker died) it only frees
+ * the lane. Final counts the spec completed under @p outcome 's status
+ * (Quarantined counts as failed).
+ */
+void accountBatchRun(BatchStep step, const RunOutcome *outcome = nullptr,
+                     unsigned priorAttempts = 0);
+
 /**
  * Raise the batch SIGINT latch programmatically, as if the process
  * had received SIGINT: in-flight runs unwind with Interrupted and no

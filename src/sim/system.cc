@@ -20,11 +20,11 @@ namespace
 {
 
 /**
- * Publishing stride for the live instruction counters: coarse enough
- * that the run loops see one predictable branch per iteration and an
- * atomic add only every ~16k instructions, fine enough that ipref_top
- * sampling at tens of milliseconds still tracks real progress. Runs
- * under a RunControl also poll it at least this often.
+ * Publishing stride for the live counters: coarse enough that the run
+ * loops see one predictable branch per iteration and registry adds
+ * only every ~16k instructions, fine enough that ipref_top sampling
+ * at tens of milliseconds still tracks real progress. Runs under a
+ * RunControl also poll it at least this often.
  */
 constexpr std::uint64_t kMetricsStride = 16384;
 
@@ -38,6 +38,7 @@ struct SystemMetricRefs
     metrics::Counter &runsFinished;
     metrics::Counter &measureBegins;
     metrics::Gauge &activeRuns;
+    metrics::Gauge &prefetchInFlight;
 };
 
 SystemMetricRefs &
@@ -63,29 +64,10 @@ systemMetrics()
             "warm-up/measurement boundary crossings"),
         metrics::registry().gauge("ipref_sim_active_runs",
                                   "System::run() calls in flight"),
+        metrics::registry().gauge(
+            "ipref_prefetch_in_flight",
+            "issued, not yet used / evicted / replaced"),
     };
-    return refs;
-}
-
-/**
- * Process-wide CPI-stack telemetry: one monotonic cycle counter per
- * bucket, summed across all cores of all concurrent timing runs, so
- * ipref_top can render a live stall breakdown.
- */
-std::array<metrics::Counter *, kNumCycleBuckets> &
-cpiMetrics()
-{
-    static std::array<metrics::Counter *, kNumCycleBuckets> refs =
-        [] {
-            std::array<metrics::Counter *, kNumCycleBuckets> r{};
-            for (std::size_t i = 0; i < kNumCycleBuckets; ++i)
-                r[i] = &metrics::registry().counter(
-                    std::string("ipref_cpi_") +
-                        cycleBucketName(static_cast<CycleBucket>(i)) +
-                        "_cycles_total",
-                    "core cycles charged to this CPI bucket");
-            return r;
-        }();
     return refs;
 }
 
@@ -296,6 +278,18 @@ System::System(const SystemConfig &cfg) : cfg_(cfg)
         statsRoot_->addChild(g.get());
         statGroups_.push_back(std::move(g));
     }
+
+    // Live telemetry: every counter of the tree feeds the registry
+    // counter of its derived name (see publishProgressMetrics).
+    statsRoot_->forEachCounter([this](const std::string &path,
+                                      const Counter &c,
+                                      const std::string &desc) {
+        liveCounters_.push_back(
+            {&c,
+             &metrics::registry().counter(
+                 metrics::statCounterName(path), desc),
+             c.value()});
+    });
 }
 
 System::~System() = default;
@@ -323,25 +317,20 @@ System::checkpoint(std::uint64_t p)
         settleIdle();
         maybeSample(p);
     }
-    if constexpr (metrics::kCompiled)
-        if (p >= metricsNextAt_)
-            publishProgressMetrics(p);
+    if (p >= metricsNextAt_)
+        publishProgressMetrics(p);
 }
 
 std::uint64_t
 System::nextCheckpoint(std::uint64_t p, std::uint64_t target) const
 {
-    std::uint64_t next = target;
+    // The publish stride also bounds how far a cancelled run gets
+    // past its RunControl flag.
+    std::uint64_t next = std::min(target, metricsNextAt_);
     if (nextSampleAt_ > 0)
         next = std::min(next, nextSampleAt_);
-    if constexpr (metrics::kCompiled)
-        next = std::min(next, metricsNextAt_);
     if (cfg_.faultAtInstr > p)
         next = std::min(next, cfg_.faultAtInstr);
-    // Even with metrics compiled out, a cancelled run stops within
-    // one stride of instructions.
-    if (cfg_.control)
-        next = std::min(next, p + kMetricsStride);
     if (sliced())
         next = std::min(next, sliceStart_ + cfg_.timeSliceInstrs);
     return std::max(next, p + 1);
@@ -405,21 +394,21 @@ System::publishProgressMetrics(std::uint64_t p)
     metricsLastProgress_ = p;
     metricsNextAt_ = p + kMetricsStride;
 
-    // CPI-stack deltas ride the same stride. The cursor only moves
-    // forward here; the warm-up/measure boundary re-syncs it after
-    // the ledger counters reset (see beginMeasurement()).
-    if (!cores_.empty()) {
-        auto &cm = cpiMetrics();
-        for (std::size_t i = 0; i < kNumCycleBuckets; ++i) {
-            std::uint64_t cur = 0;
-            for (const auto &core : cores_)
-                cur += core->ledger().value(
-                    static_cast<CycleBucket>(i));
-            if (cur > metricsLastStack_[i])
-                cm[i]->add(cur - metricsLastStack_[i]);
-            metricsLastStack_[i] = cur;
-        }
+    // Stats-tree deltas ride the same stride. The cursors only move
+    // forward here; the warm-up/measure boundary re-syncs them after
+    // the tree resets (see beginMeasurement()).
+    for (LiveCounter &lc : liveCounters_) {
+        std::uint64_t cur = lc.stat->value();
+        if (cur > lc.published)
+            lc.live->add(cur - lc.published);
+        lc.published = cur;
     }
+    std::uint64_t inFlight = 0;
+    for (const auto &engine : engines_)
+        inFlight += engine->lifecycle().inFlight;
+    m.prefetchInFlight.add(static_cast<std::int64_t>(inFlight) -
+                           static_cast<std::int64_t>(liveInFlight_));
+    liveInFlight_ = inFlight;
 }
 
 void
@@ -694,10 +683,11 @@ System::beginMeasurement()
 
     // Cycle accounting restarts with the reset ledgers: open stall
     // episodes forget their pre-boundary cycles (the sink was just
-    // cleared) and the live-metrics cursor re-syncs at zero.
+    // cleared) and the live-counter cursors re-sync at zero.
     for (auto &core : cores_)
         core->onMeasureBegin();
-    metricsLastStack_.fill(0);
+    for (LiveCounter &lc : liveCounters_)
+        lc.published = 0;
 
     samples_.clear();
     lastSample_ = SimResults{};
@@ -721,8 +711,8 @@ System::run()
     TraceSinkScope traceScope(traceSink_.get());
 
     // Live run accounting, exception-safe: a run that throws (fault
-    // injection, cancellation, trace damage) still decrements the
-    // active-runs gauge and flushes its final instruction delta.
+    // injection, cancellation, trace damage) still flushes its final
+    // counter deltas and withdraws its share of both gauges.
     systemMetrics().runsStarted.add(1);
     systemMetrics().activeRuns.add(1);
     metricsInMeasure_ = false;
@@ -732,6 +722,9 @@ System::run()
         ~MetricsRunScope()
         {
             sys.publishProgressMetrics(sys.progress());
+            systemMetrics().prefetchInFlight.sub(
+                static_cast<std::int64_t>(sys.liveInFlight_));
+            sys.liveInFlight_ = 0;
             systemMetrics().runsFinished.add(1);
             systemMetrics().activeRuns.sub(1);
         }

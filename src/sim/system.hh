@@ -8,7 +8,6 @@
 #ifndef IPREF_SIM_SYSTEM_HH
 #define IPREF_SIM_SYSTEM_HH
 
-#include <array>
 #include <memory>
 #include <ostream>
 #include <vector>
@@ -21,6 +20,11 @@ namespace ipref
 
 class FetchProfiler;
 class TraceSink;
+
+namespace metrics
+{
+class Counter;
+} // namespace metrics
 
 /** Wall-clock / throughput profile of the most recent run(). */
 struct PhaseProfile
@@ -118,6 +122,9 @@ class System
     /** Issue-to-first-use latency summary across all engines. */
     TimelinessSummary timeliness() const;
 
+    /** The persistent stats tree (reset at the measure boundary). */
+    const StatGroup &stats() const { return *statsRoot_; }
+
     /** Dump every component's statistics as text. */
     void dumpStats(std::ostream &os) const;
 
@@ -184,10 +191,12 @@ class System
     std::uint64_t progress() const;
 
     /**
-     * Publish the instruction delta since the last publish into the
-     * process-wide telemetry counters (phase-attributed). Called on a
-     * coarse stride from the run loops and at phase boundaries so the
-     * counters track live progress without per-instruction atomics.
+     * Publish into the process-wide telemetry registry: the
+     * instruction delta since the last publish (phase-attributed),
+     * every stats-tree counter's delta, and this System's share of
+     * the in-flight prefetch gauge. Called on a coarse stride from
+     * the run loops and at phase boundaries so the registry tracks
+     * live progress without per-event atomics.
      */
     void publishProgressMetrics(std::uint64_t p);
 
@@ -261,8 +270,17 @@ class System
     std::uint64_t metricsLastProgress_ = 0;
     std::uint64_t metricsNextAt_ = 0;
     bool metricsInMeasure_ = false;
-    /** Last CPI-stack totals published to the process-wide gauges. */
-    std::array<std::uint64_t, kNumCycleBuckets> metricsLastStack_{};
+
+    /** One stats-tree counter bound to its live registry counter. */
+    struct LiveCounter
+    {
+        const Counter *stat;
+        metrics::Counter *live;
+        std::uint64_t published; //!< stat value at the last publish
+    };
+    std::vector<LiveCounter> liveCounters_;
+    /** In-flight prefetches this System added to the live gauge. */
+    std::uint64_t liveInFlight_ = 0;
 };
 
 } // namespace ipref

@@ -1,6 +1,7 @@
 #include "util/metrics.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -51,7 +52,33 @@ defaultMsBounds()
             300000};
 }
 
-// --- serialization (always compiled) ---------------------------------
+std::string
+statCounterName(const std::string &statPath)
+{
+    std::string name = "ipref";
+    std::size_t pos = statPath.find('.');
+    while (pos != std::string::npos) {
+        std::size_t end = statPath.find('.', pos + 1);
+        std::string seg = statPath.substr(
+            pos + 1, end == std::string::npos ? end : end - pos - 1);
+        pos = end;
+        if (seg.find_first_not_of("0123456789") == std::string::npos)
+            continue;
+        name += '_';
+        for (char c : seg) {
+            if (std::isalnum(static_cast<unsigned char>(c)))
+                name += static_cast<char>(
+                    std::tolower(static_cast<unsigned char>(c)));
+            else if (name.back() != '_')
+                name += '_';
+        }
+        if (name.back() == '_')
+            name.pop_back();
+    }
+    return name + "_total";
+}
+
+// --- serialization ---------------------------------------------------
 
 std::string
 snapshotToJsonLine(const Snapshot &s)
@@ -248,8 +275,6 @@ parsePrometheus(const std::string &text)
     }
     return s;
 }
-
-#if IPREF_METRICS
 
 // --- LatencyHistogram -------------------------------------------------
 
@@ -456,64 +481,6 @@ Registry::resetAll()
         h.reset();
 }
 
-#else // !IPREF_METRICS
-
-struct Registry::Impl
-{};
-
-Registry::Impl *
-Registry::impl() const
-{
-    return nullptr;
-}
-
-Registry &
-Registry::instance()
-{
-    static Registry r;
-    return r;
-}
-
-Registry &
-registry()
-{
-    return Registry::instance();
-}
-
-Counter &
-Registry::counter(const std::string &, const std::string &)
-{
-    static Counter c;
-    return c;
-}
-
-Gauge &
-Registry::gauge(const std::string &, const std::string &)
-{
-    static Gauge g;
-    return g;
-}
-
-LatencyHistogram &
-Registry::histogram(const std::string &, std::vector<double>,
-                    const std::string &)
-{
-    static LatencyHistogram h{{}};
-    return h;
-}
-
-Snapshot
-Registry::snapshot() const
-{
-    return {};
-}
-
-void
-Registry::resetAll()
-{}
-
-#endif // IPREF_METRICS
-
 // --- exporters --------------------------------------------------------
 
 struct JsonLinesExporter::Impl
@@ -671,37 +638,6 @@ PrometheusExporter::consume(const Snapshot &s)
                    tmp.c_str());
 }
 
-struct SnapshotRing::Impl
-{
-    mutable std::mutex mu;
-    std::size_t capacity;
-    std::deque<Snapshot> ring;
-};
-
-SnapshotRing::SnapshotRing(std::size_t capacity)
-    : impl_(std::make_unique<Impl>())
-{
-    impl_->capacity = capacity == 0 ? 1 : capacity;
-}
-
-SnapshotRing::~SnapshotRing() = default;
-
-void
-SnapshotRing::consume(const Snapshot &s)
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->ring.push_back(s);
-    while (impl_->ring.size() > impl_->capacity)
-        impl_->ring.pop_front();
-}
-
-std::vector<Snapshot>
-SnapshotRing::recent() const
-{
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    return {impl_->ring.begin(), impl_->ring.end()};
-}
-
 // --- sampler ----------------------------------------------------------
 
 struct Sampler::Impl
@@ -854,9 +790,6 @@ configureMetrics(const MetricsOptions &opts)
     if (!opts.promPath.empty() || opts.promPort != 0)
         sampler->addExporter(std::make_shared<PrometheusExporter>(
             opts.promPath, opts.promPort));
-    if (opts.ringCapacity != 0)
-        sampler->addExporter(
-            std::make_shared<SnapshotRing>(opts.ringCapacity));
     sampler->start();
 
     std::lock_guard<std::mutex> lock(g_samplerMu);

@@ -4,15 +4,15 @@
  * (Counter, Gauge, LatencyHistogram), a background sampler that
  * snapshots the registry on a wall-clock interval, and pluggable
  * exporters (JSON-lines time series, Prometheus text exposition with
- * an optional localhost TCP endpoint, an in-process snapshot ring).
+ * an optional localhost TCP endpoint).
  *
  * Unlike util/stats.hh — per-run StatGroup trees dumped after a run
  * completes — these instruments are process-wide and readable *while*
  * a campaign executes, so `ipref_top` can watch a `runBatch --jobs N`
- * sweep live. Instruments are updated with relaxed atomics (no locks
- * on the hot side) and the whole layer compiles down to no-ops when
- * IPREF_METRICS is defined to 0; the snapshot/serialization types
- * stay available either way so tooling builds unconditionally.
+ * sweep live. Simulator counters are not registered here by hand:
+ * System publishes its whole stats tree under names derived by
+ * statCounterName(). Instruments are updated with relaxed atomics
+ * (no locks on the hot side).
  *
  * Naming follows Prometheus conventions: `ipref_<subsystem>_<what>`
  * with a `_total` suffix on counters.
@@ -27,21 +27,10 @@
 #include <string>
 #include <vector>
 
-#ifndef IPREF_METRICS
-#define IPREF_METRICS 1
-#endif
-
 namespace ipref::metrics
 {
 
-/** True when the instrument layer is compiled in. */
-#if IPREF_METRICS
-inline constexpr bool kCompiled = true;
-#else
-inline constexpr bool kCompiled = false;
-#endif
-
-// --- snapshots (always compiled; tooling depends on them) -------------
+// --- snapshots --------------------------------------------------------
 
 /** Instrument taxonomy. */
 enum class Kind : std::uint8_t { Counter, Gauge, Histogram };
@@ -102,8 +91,6 @@ std::string renderPrometheus(const Snapshot &s);
 Snapshot parsePrometheus(const std::string &text);
 
 // --- instruments ------------------------------------------------------
-
-#if IPREF_METRICS
 
 /** Monotonic counter; relaxed atomic add, safe from any thread. */
 class Counter
@@ -181,47 +168,23 @@ class LatencyHistogram
     std::atomic<std::uint64_t> sumBits_{0}; //!< double, CAS-updated
 };
 
-#else // !IPREF_METRICS — no-op stand-ins, identical call surface
-
-class Counter
-{
-  public:
-    void add(std::uint64_t = 1) {}
-    std::uint64_t value() const { return 0; }
-    void reset() {}
-};
-
-class Gauge
-{
-  public:
-    void add(std::int64_t = 1) {}
-    void sub(std::int64_t = 1) {}
-    void set(std::int64_t) {}
-    std::int64_t value() const { return 0; }
-    void reset() {}
-};
-
-class LatencyHistogram
-{
-  public:
-    explicit LatencyHistogram(std::vector<double>) {}
-    void observe(double) {}
-
-    const std::vector<double> &
-    bounds() const
-    {
-        static const std::vector<double> none;
-        return none;
-    }
-
-    HistogramSample sample() const { return {}; }
-    void reset() {}
-};
-
-#endif // IPREF_METRICS
 
 /** Default wall-time bucket ladder in milliseconds (1ms .. 5min). */
 std::vector<double> defaultMsBounds();
+
+/**
+ * Live name of a stats-tree counter: drop the root group (the first
+ * path segment) and purely numeric instance segments, so per-core and
+ * per-engine instances sum into one series; join the rest with '_';
+ * add the `ipref_` prefix and the `_total` suffix. Letters fold to
+ * lower case and any other run of characters outside [a-z0-9] to one
+ * '_', keeping names valid for Prometheus. For example
+ * "system.prefetch.0.issued" -> "ipref_prefetch_issued_total",
+ * "system.core.2.cpi.fetch_mem" -> "ipref_core_cpi_fetch_mem_total"
+ * and "system.hierarchy.l1i_miss.Cond branch (nt)" ->
+ * "ipref_hierarchy_l1i_miss_cond_branch_nt_total".
+ */
+std::string statCounterName(const std::string &statPath);
 
 /**
  * The process-wide instrument registry. Registration deduplicates by
@@ -326,23 +289,6 @@ class PrometheusExporter final : public Exporter
     std::unique_ptr<Impl> impl_;
 };
 
-/** Keeps the most recent @p capacity snapshots in memory. */
-class SnapshotRing final : public Exporter
-{
-  public:
-    explicit SnapshotRing(std::size_t capacity);
-    ~SnapshotRing() override;
-
-    void consume(const Snapshot &s) override;
-
-    /** Buffered snapshots, oldest first. */
-    std::vector<Snapshot> recent() const;
-
-  private:
-    struct Impl;
-    std::unique_ptr<Impl> impl_;
-};
-
 // --- sampler ----------------------------------------------------------
 
 /**
@@ -397,14 +343,10 @@ struct MetricsOptions
     /** Localhost TCP port for the exposition endpoint (0 = off). */
     unsigned promPort = 0;
 
-    /** In-process ring capacity (0 = no ring). */
-    std::size_t ringCapacity = 0;
-
     bool
     anySink() const
     {
-        return !jsonlPath.empty() || !promPath.empty() ||
-               promPort != 0 || ringCapacity != 0;
+        return !jsonlPath.empty() || !promPath.empty() || promPort != 0;
     }
 };
 

@@ -144,4 +144,15 @@ StatGroup::resetAll()
         child->resetAll();
 }
 
+void
+StatGroup::forEachCounter(const CounterVisitor &fn,
+                          const std::string &prefix) const
+{
+    std::string full = prefix.empty() ? name_ : prefix + "." + name_;
+    for (const auto &c : counters_)
+        fn(full + "." + c.name, *c.counter, c.desc);
+    for (const auto *child : children_)
+        child->forEachCounter(fn, full);
+}
+
 } // namespace ipref

@@ -92,6 +92,18 @@ class StatGroup
     /** Recursively reset every registered counter and histogram. */
     void resetAll();
 
+    /** Visitor over counters: (dotted path, counter, description). */
+    using CounterVisitor = std::function<void(
+        const std::string &, const Counter &, const std::string &)>;
+
+    /**
+     * Call @p fn for every counter in the tree, depth-first in
+     * registration order. Paths are rooted at this group's name and
+     * match the dump() line names ("system.core.0.committed").
+     */
+    void forEachCounter(const CounterVisitor &fn,
+                        const std::string &prefix = "") const;
+
     const std::string &name() const { return name_; }
 
   private:

@@ -31,6 +31,7 @@
 #include "sim/experiment.hh"
 #include "util/fault_inject.hh"
 #include "util/json.hh"
+#include "util/metrics.hh"
 
 using namespace ipref;
 
@@ -338,6 +339,29 @@ TEST(ManifestLockTest, RunBatchRefusesALockedManifest)
 
 // --- end to end -------------------------------------------------------
 
+namespace
+{
+
+/** How far counter @p name rose between two registry snapshots. */
+std::uint64_t
+counterRise(const metrics::Snapshot &before,
+            const metrics::Snapshot &after, const char *name)
+{
+    const std::uint64_t *b = before.counter(name);
+    const std::uint64_t *a = after.counter(name);
+    return (a ? *a : 0) - (b ? *b : 0);
+}
+
+/** Gauge @p name's value in @p s (absent = 0). */
+std::int64_t
+gaugeAt(const metrics::Snapshot &s, const char *name)
+{
+    const std::int64_t *v = s.gauge(name);
+    return v ? *v : 0;
+}
+
+} // namespace
+
 TEST(CampaignE2E, MatchesSingleProcessRunBatchBitExactly)
 {
     REQUIRE_WORKER();
@@ -347,8 +371,19 @@ TEST(CampaignE2E, MatchesSingleProcessRunBatchBitExactly)
     seq.jobs = 1;
     std::vector<RunOutcome> baseline = runBatch(specs, seq);
 
+    metrics::Snapshot before = metrics::registry().snapshot();
     std::vector<RunOutcome> dist =
         runCampaign(specs, testCampaign(2));
+    metrics::Snapshot after = metrics::registry().snapshot();
+
+    // The coordinator's live batch accounting matches runBatch's:
+    // every spec completes Ok and each lane is freed again.
+    EXPECT_EQ(counterRise(before, after, "ipref_batch_runs_completed_total"),
+              specs.size());
+    EXPECT_EQ(counterRise(before, after, "ipref_batch_runs_ok_total"),
+              specs.size());
+    EXPECT_EQ(gaugeAt(after, "ipref_batch_active_runs"),
+              gaugeAt(before, "ipref_batch_active_runs"));
 
     ASSERT_EQ(dist.size(), baseline.size());
     for (std::size_t i = 0; i < dist.size(); ++i) {
@@ -380,7 +415,19 @@ TEST(CampaignE2E, WorkerSigkillMidCampaignRequeuesItsSpec)
     // that spec onto a respawn and finish the campaign.
     CampaignOptions opt = testCampaign(1);
     opt.workerFaults = "worker.crash_run@2/spawn0";
+    metrics::Snapshot before = metrics::registry().snapshot();
     std::vector<RunOutcome> dist = runCampaign(specs, opt);
+    metrics::Snapshot after = metrics::registry().snapshot();
+
+    // The killed run left its lane without an outcome; the gauge
+    // still returns to its start value. The killed spec was
+    // dispatched twice, its neighbours once.
+    EXPECT_EQ(gaugeAt(after, "ipref_batch_active_runs"),
+              gaugeAt(before, "ipref_batch_active_runs"));
+    EXPECT_EQ(counterRise(before, after, "ipref_batch_runs_started_total"),
+              4u);
+    EXPECT_EQ(counterRise(before, after, "ipref_batch_runs_completed_total"),
+              3u);
 
     ASSERT_EQ(dist.size(), 3u);
     for (std::size_t i = 0; i < dist.size(); ++i) {

@@ -6,7 +6,7 @@
  * instrument totals), the Prometheus text exposition golden format,
  * the JSON-lines round trip ipref_top depends on, and end-to-end
  * reconciliation between the live counters and a run's reported
- * results.
+ * results and stats tree.
  */
 
 #include <gtest/gtest.h>
@@ -16,11 +16,14 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <map>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "sim/experiment.hh"
+#include "sim/system.hh"
 #include "util/metrics.hh"
 
 using namespace ipref;
@@ -48,9 +51,32 @@ sampleSnapshot()
     return s;
 }
 
+/** Test exporter: keeps every snapshot the sampler hands it. */
+class RecordingExporter final : public Exporter
+{
+  public:
+    void
+    consume(const Snapshot &s) override
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        snaps_.push_back(s);
+    }
+
+    std::vector<Snapshot>
+    snapshots() const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        return snaps_;
+    }
+
+  private:
+    mutable std::mutex mu_;
+    std::vector<Snapshot> snaps_;
+};
+
 } // namespace
 
-// --- serialization (always compiled) ----------------------------------
+// --- serialization ----------------------------------------------------
 
 TEST(MetricsSnapshot, JsonLineRoundTripIsExact)
 {
@@ -184,9 +210,6 @@ TEST(MetricsRegistry, SameNameReturnsSameInstrument)
 
 TEST(MetricsRegistry, ConcurrentUpdatesSumExactly)
 {
-    if constexpr (!kCompiled)
-        GTEST_SKIP() << "metrics compiled out";
-
     metrics::Counter &c = registry().counter("ipref_test_conc_c");
     metrics::Gauge &g = registry().gauge("ipref_test_conc_g");
     LatencyHistogram &h = registry().histogram(
@@ -235,15 +258,12 @@ TEST(MetricsRegistry, ConcurrentUpdatesSumExactly)
 
 TEST(MetricsSampler, FinalSnapshotCarriesFinalTotals)
 {
-    if constexpr (!kCompiled)
-        GTEST_SKIP() << "metrics compiled out";
-
     metrics::Counter &c = registry().counter("ipref_test_sampler_c");
     c.reset();
 
-    auto ring = std::make_shared<SnapshotRing>(1024);
+    auto recorder = std::make_shared<RecordingExporter>();
     Sampler sampler(5);
-    sampler.addExporter(ring);
+    sampler.addExporter(recorder);
     sampler.start();
 
     for (int i = 0; i < 50; ++i) {
@@ -253,7 +273,7 @@ TEST(MetricsSampler, FinalSnapshotCarriesFinalTotals)
     std::uint64_t final = c.value();
     sampler.stop();
 
-    std::vector<Snapshot> snaps = ring->recent();
+    std::vector<Snapshot> snaps = recorder->snapshots();
     ASSERT_FALSE(snaps.empty());
 
     // stop() exports one last snapshot after joining the thread, so
@@ -282,9 +302,6 @@ TEST(MetricsSampler, FinalSnapshotCarriesFinalTotals)
 
 TEST(MetricsReconciliation, MeasureCountersMatchRunResults)
 {
-    if constexpr (!kCompiled)
-        GTEST_SKIP() << "metrics compiled out";
-
     RunSpec spec;
     spec.cmp = true;
     spec.workloads = {WorkloadKind::DB};
@@ -326,6 +343,13 @@ TEST(MetricsReconciliation, MeasureCountersMatchRunResults)
     // can only exceed the measurement-window counter.
     EXPECT_GE(delta("ipref_prefetch_issued_total"), r.pfIssued);
 
+    // Tree counters survive the boundary reset too: the cores'
+    // committed counters restart from zero there, yet their live sum
+    // covers both phases exactly (flush before the reset, cursors
+    // re-synced to zero after it).
+    EXPECT_EQ(delta("ipref_core_committed_total"),
+              delta("ipref_sim_instructions_total"));
+
     // Gauges drain once the run is torn down.
     const std::int64_t *active =
         after.gauge("ipref_sim_active_runs");
@@ -333,4 +357,80 @@ TEST(MetricsReconciliation, MeasureCountersMatchRunResults)
     const std::int64_t *activeBefore =
         before.gauge("ipref_sim_active_runs");
     EXPECT_EQ(*active, activeBefore ? *activeBefore : 0);
+}
+
+TEST(MetricsReconciliation, StatPathsMapToLiveNames)
+{
+    EXPECT_EQ(statCounterName("system.prefetch.0.issued"),
+              "ipref_prefetch_issued_total");
+    EXPECT_EQ(statCounterName("system.core.2.cpi.fetch_mem"),
+              "ipref_core_cpi_fetch_mem_total");
+    EXPECT_EQ(statCounterName("system.hierarchy.l1i_misses"),
+              "ipref_hierarchy_l1i_misses_total");
+    EXPECT_EQ(statCounterName("system.prefetch.12.issued_by.next_line"),
+              "ipref_prefetch_issued_by_next_line_total");
+    EXPECT_EQ(statCounterName("system.hierarchy.l1i_miss.Cond branch (nt)"),
+              "ipref_hierarchy_l1i_miss_cond_branch_nt_total");
+}
+
+/**
+ * Every counter of the stats tree reaches the live stream: with no
+ * warm-up the end-of-run tree covers the whole run, so each derived
+ * name's live delta must equal the counter summed over its instances
+ * (cores, engines), exactly. Covers a structural and a temporal
+ * scheme (the latter adds the meta_offchip_* counters).
+ */
+TEST(MetricsReconciliation, EveryStatCounterIsLive)
+{
+    for (const char *scheme : {"n4l", "domino"}) {
+        SCOPED_TRACE(scheme);
+        RunSpec spec;
+        spec.cmp = true;
+        spec.workloads = {WorkloadKind::DB};
+        spec.schemeToken = scheme;
+        spec.instrScale = 0.02;
+        SystemConfig cfg = makeConfig(spec);
+        cfg.warmupInstrs = 0;
+        ASSERT_EQ(cfg.numCores, 4u);
+
+        System sys(cfg);
+        Snapshot before = registry().snapshot();
+        sys.run();
+        Snapshot after = registry().snapshot();
+
+        std::map<std::string, std::uint64_t> treeTotals;
+        sys.stats().forEachCounter(
+            [&](const std::string &path, const ipref::Counter &c,
+                const std::string &) {
+                treeTotals[statCounterName(path)] += c.value();
+            });
+        EXPECT_TRUE(treeTotals.count("ipref_core_cpi_fetch_mem_total"));
+        EXPECT_TRUE(treeTotals.count("ipref_hierarchy_reads_total"));
+        EXPECT_GT(treeTotals["ipref_prefetch_issued_total"], 0u);
+        if (std::string(scheme) == "domino") {
+            EXPECT_TRUE(treeTotals.count(
+                "ipref_prefetch_meta_offchip_reads_total"));
+        }
+
+        for (const auto &[name, total] : treeTotals) {
+            EXPECT_EQ(name.find_first_not_of(
+                          "abcdefghijklmnopqrstuvwxyz0123456789_"),
+                      std::string::npos)
+                << "not a Prometheus name: " << name;
+            const std::uint64_t *b = before.counter(name);
+            const std::uint64_t *a = after.counter(name);
+            ASSERT_NE(a, nullptr) << name;
+            EXPECT_EQ(*a - (b ? *b : 0), total) << name;
+        }
+
+        // Both run gauges return to their start values once run()
+        // exits.
+        for (const char *gauge :
+             {"ipref_prefetch_in_flight", "ipref_sim_active_runs"}) {
+            const std::int64_t *b = before.gauge(gauge);
+            const std::int64_t *a = after.gauge(gauge);
+            ASSERT_NE(a, nullptr) << gauge;
+            EXPECT_EQ(*a, b ? *b : 0) << gauge;
+        }
+    }
 }

@@ -197,8 +197,11 @@ render(const std::vector<metrics::Snapshot> &snaps,
     // --- prefetching --------------------------------------------------
     std::uint64_t pfIssued =
         counterOr(last, "ipref_prefetch_issued_total");
+    // Lifecycles closed useful: credited at first use, plus lines
+    // evicted used without an observed use.
     std::uint64_t pfUseful =
-        counterOr(last, "ipref_prefetch_useful_total");
+        counterOr(last, "ipref_prefetch_useful_total") +
+        counterOr(last, "ipref_prefetch_uncredited_useful_total");
     double accuracy =
         pfIssued ? static_cast<double>(pfUseful) /
                        static_cast<double>(pfIssued)
@@ -316,9 +319,9 @@ render(const std::vector<metrics::Snapshot> &snaps,
     std::uint64_t stackTotal = 0;
     for (std::size_t b = 0; b < kNumCycleBuckets; ++b) {
         stack[b] = counterOr(
-            last, std::string("ipref_cpi_") +
+            last, std::string("ipref_core_cpi_") +
                       cycleBucketName(static_cast<CycleBucket>(b)) +
-                      "_cycles_total");
+                      "_total");
         stackTotal += stack[b];
     }
     if (stackTotal) {
