@@ -1,16 +1,23 @@
 /**
  * @file
  * google-benchmark micro-benchmarks of the core data structures:
- * cache access, predictor probe/allocate, prefetch queue operations,
- * branch predictor updates and workload-generation throughput.
+ * cache access, in-flight fill churn, predictor probe/allocate,
+ * prefetch queue operations, the flat address map against
+ * std::unordered_map, branch predictor updates and
+ * workload-generation throughput.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "cache/cache.hh"
+#include "cache/hierarchy.hh"
 #include "cpu/branch_predictor.hh"
 #include "prefetch/discontinuity.hh"
 #include "prefetch/prefetch_queue.hh"
+#include "util/flat_map.hh"
 #include "util/rng.hh"
 #include "workload/presets.hh"
 
@@ -191,6 +198,96 @@ BM_PrefetchQueueChurn(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PrefetchQueueChurn);
+
+/**
+ * In-flight fill churn through the hierarchy's public entry points:
+ * four cores fetch, load and prefetch lines of a working set far
+ * larger than the L1s, so nearly every access starts a fill, merges
+ * with one, or drains completed ones. Arg 0 runs functional (zero)
+ * latencies, where each fill completes at the next entry point;
+ * Arg 1 runs timing latencies, where dozens stay in flight and
+ * demand accesses merge with them.
+ */
+void
+BM_FillTableChurn(benchmark::State &state)
+{
+    HierarchyParams p;
+    p.numCores = 4;
+    p.l1i.sizeBytes = 4u << 10;
+    p.l1d.sizeBytes = 4u << 10;
+    p.l2.sizeBytes = 64u << 10;
+    if (state.range(0) == 0)
+        p.makeFunctional();
+    CacheHierarchy h(p);
+    Rng rng(7);
+    Cycle now = 0;
+    for (auto _ : state) {
+        auto core = static_cast<CoreId>(rng.below(p.numCores));
+        Addr line = 0x10000000 + rng.below(1u << 14) * 64;
+        switch (rng.below(3)) {
+          case 0:
+            benchmark::DoNotOptimize(h.fetchAccess(
+                core, line, FetchTransition::Sequential, now));
+            break;
+          case 1:
+            benchmark::DoNotOptimize(
+                h.dataAccess(core, line + (1u << 24), false, now));
+            break;
+          default:
+            benchmark::DoNotOptimize(h.prefetchRequest(core, line, now));
+            break;
+        }
+        now += 2;
+    }
+    h.drainAll();
+}
+BENCHMARK(BM_FillTableChurn)->Arg(0)->Arg(1);
+
+/**
+ * Point lookups and erase/re-insert churn on a map of 4096 live line
+ * addresses (the shape of the in-flight and lifecycle maps): one
+ * find of a random key from a universe twice the live set, then one
+ * erase and one insert that keep the size constant.
+ */
+template <typename Map, typename FindFn>
+void
+mapFindErase(benchmark::State &state, Map &map, FindFn find)
+{
+    constexpr std::size_t live = 4096;
+    Rng rng(8);
+    std::vector<Addr> keys(2 * live);
+    for (Addr &k : keys)
+        k = rng.below(1u << 26) * 64;
+    for (std::size_t i = 0; i < live; ++i)
+        map[keys[i]] = i;
+    std::size_t oldest = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(find(map, keys[rng.below(keys.size())]));
+        map.erase(keys[oldest % keys.size()]);
+        map[keys[(oldest + live) % keys.size()]] = oldest;
+        ++oldest;
+    }
+}
+
+void
+BM_FlatAddrMapFindErase(benchmark::State &state)
+{
+    FlatAddrMap<std::uint64_t> map;
+    mapFindErase(state, map, [](auto &m, Addr k) {
+        return m.find(k) != nullptr;
+    });
+}
+BENCHMARK(BM_FlatAddrMapFindErase);
+
+void
+BM_UnorderedMapFindErase(benchmark::State &state)
+{
+    std::unordered_map<Addr, std::uint64_t> map;
+    mapFindErase(state, map, [](auto &m, Addr k) {
+        return m.find(k) != m.end();
+    });
+}
+BENCHMARK(BM_UnorderedMapFindErase);
 
 void
 BM_GshareUpdate(benchmark::State &state)

@@ -45,31 +45,33 @@ CacheHierarchy::probeL1I(CoreId core, Addr addr) const
     return l1i_[core]->probe(addr);
 }
 
-CacheHierarchy::FillPtr
+CacheHierarchy::Fill &
 CacheHierarchy::startFill(Addr lineAddr, Cycle ready, bool isPrefetch,
                           bool isInstr, bool installL2, bool dirty,
                           CoreId core)
 {
-    FillPtr fill;
-    if (!fillPool_.empty()) {
-        fill = std::move(fillPool_.back());
-        fillPool_.pop_back();
-        fill->demandMerged = false;
-        fill->fromMemory = false;
-        fill->targets.clear();
+    FillSlot slot;
+    if (!freeFills_.empty()) {
+        slot = freeFills_.back();
+        freeFills_.pop_back();
     } else {
-        fill = std::make_shared<Fill>();
+        slot = static_cast<FillSlot>(fills_.size());
+        fills_.emplace_back();
     }
-    fill->lineAddr = lineAddr;
-    fill->ready = ready;
-    fill->isPrefetch = isPrefetch;
-    fill->isInstr = isInstr;
-    fill->installL2 = installL2;
-    fill->dirty = dirty;
-    fill->srcCore = core;
-    fill->targets.push_back(core);
-    inflight_[lineAddr] = fill;
-    fillQueue_.push(fill);
+    Fill &fill = fills_[slot];
+    fill.lineAddr = lineAddr;
+    fill.ready = ready;
+    fill.isPrefetch = isPrefetch;
+    fill.demandMerged = false;
+    fill.isInstr = isInstr;
+    fill.installL2 = installL2;
+    fill.dirty = dirty;
+    fill.fromMemory = false;
+    fill.srcCore = core;
+    fill.targets.clear();
+    fill.targets.push_back(core);
+    inflight_[lineAddr] = slot;
+    fillQueue_.push({ready, slot});
     nextFillAt_ = std::min(nextFillAt_, ready);
     return fill;
 }
@@ -86,43 +88,43 @@ CacheHierarchy::insertL2(Addr lineAddr, const InsertFlags &flags,
 }
 
 void
-CacheHierarchy::install(const FillPtr &fill)
+CacheHierarchy::install(Fill &fill)
 {
     // A fill that a demand access merged with installs as a demand
     // line (used); a pure prefetch installs with the prefetched bit.
-    bool as_prefetch = fill->isPrefetch && !fill->demandMerged;
+    bool as_prefetch = fill.isPrefetch && !fill.demandMerged;
 
     // A bypassing prefetch that a demand access merged with has
     // proven itself useful while still in flight: install it into
     // the L2 like any demand fill (the selective-install policy only
     // excludes *unproven* prefetches).
-    if (fill->isPrefetch && fill->demandMerged && !fill->installL2)
-        fill->installL2 = true;
+    if (fill.isPrefetch && fill.demandMerged && !fill.installL2)
+        fill.installL2 = true;
 
-    if (fill->installL2) {
+    if (fill.installL2) {
         InsertFlags f;
         f.prefetched = as_prefetch;
-        f.isInstr = fill->isInstr;
-        f.dirty = fill->dirty;
-        f.srcCore = fill->srcCore;
-        insertL2(fill->lineAddr, f, fill->ready);
+        f.isInstr = fill.isInstr;
+        f.dirty = fill.dirty;
+        f.srcCore = fill.srcCore;
+        insertL2(fill.lineAddr, f, fill.ready);
     }
 
-    for (CoreId core : fill->targets) {
+    for (CoreId core : fill.targets) {
         SetAssocCache &l1 =
-            fill->isInstr ? *l1i_[core] : *l1d_[core];
+            fill.isInstr ? *l1i_[core] : *l1d_[core];
         InsertFlags f;
-        f.prefetched = as_prefetch && fill->isInstr;
-        f.isInstr = fill->isInstr;
-        f.dirty = fill->dirty && !fill->isInstr;
+        f.prefetched = as_prefetch && fill.isInstr;
+        f.isInstr = fill.isInstr;
+        f.dirty = fill.dirty && !fill.isInstr;
         f.srcCore = core;
         IPREF_TRACE(f.prefetched ? TraceEventType::PrefetchFill
                                  : TraceEventType::CacheFill,
-                    static_cast<std::uint16_t>(core), fill->lineAddr,
+                    static_cast<std::uint16_t>(core), fill.lineAddr,
                     0,
-                    fill->isInstr ? traceLevelL1I : traceLevelL1D,
-                    fill->ready);
-        Eviction ev = l1.insert(fill->lineAddr, f);
+                    fill.isInstr ? traceLevelL1I : traceLevelL1D,
+                    fill.ready);
+        Eviction ev = l1.insert(fill.lineAddr, f);
         if (!ev.valid)
             continue;
         IPREF_TRACE(TraceEventType::CacheEvict,
@@ -130,9 +132,9 @@ CacheHierarchy::install(const FillPtr &fill)
                     static_cast<std::uint64_t>(ev.used) |
                         (static_cast<std::uint64_t>(ev.prefetched)
                          << 1),
-                    fill->isInstr ? traceLevelL1I : traceLevelL1D,
-                    fill->ready);
-        if (fill->isInstr) {
+                    fill.isInstr ? traceLevelL1I : traceLevelL1D,
+                    fill.ready);
+        if (fill.isInstr) {
             if (listeners_[core])
                 listeners_[core]->instrLineEvicted(core,
                                                    ev.lineAddr);
@@ -148,7 +150,7 @@ CacheHierarchy::install(const FillPtr &fill)
                         InsertFlags lf;
                         lf.isInstr = true;
                         lf.srcCore = core;
-                        insertL2(ev.lineAddr, lf, fill->ready);
+                        insertL2(ev.lineAddr, lf, fill.ready);
                     } else {
                         ++bypassDrops;
                     }
@@ -160,9 +162,22 @@ CacheHierarchy::install(const FillPtr &fill)
             lf.isInstr = false;
             lf.dirty = true;
             lf.srcCore = core;
-            insertL2(ev.lineAddr, lf, fill->ready);
+            insertL2(ev.lineAddr, lf, fill.ready);
         }
     }
+}
+
+void
+CacheHierarchy::completeNextFill()
+{
+    FillSlot slot = fillQueue_.top().slot;
+    fillQueue_.pop();
+    Fill &fill = fills_[slot];
+    const FillSlot *indexed = inflight_.find(fill.lineAddr);
+    if (indexed && *indexed == slot)
+        inflight_.erase(fill.lineAddr);
+    install(fill);
+    freeFills_.push_back(slot);
 }
 
 void
@@ -173,31 +188,17 @@ CacheHierarchy::drain(Cycle now)
     IPREF_TRACE_SETNOW(now);
     if (now < nextFillAt_)
         return;
-    while (!fillQueue_.empty() && fillQueue_.top()->ready <= now) {
-        FillPtr fill = fillQueue_.top();
-        fillQueue_.pop();
-        auto it = inflight_.find(fill->lineAddr);
-        if (it != inflight_.end() && it->second == fill)
-            inflight_.erase(it);
-        install(fill);
-        if (fill.use_count() == 1)
-            fillPool_.push_back(std::move(fill));
-    }
+    while (!fillQueue_.empty() && fillQueue_.top().ready <= now)
+        completeNextFill();
     nextFillAt_ =
-        fillQueue_.empty() ? neverCycle : fillQueue_.top()->ready;
+        fillQueue_.empty() ? neverCycle : fillQueue_.top().ready;
 }
 
 void
 CacheHierarchy::drainAll()
 {
-    while (!fillQueue_.empty()) {
-        FillPtr fill = fillQueue_.top();
-        fillQueue_.pop();
-        auto it = inflight_.find(fill->lineAddr);
-        if (it != inflight_.end() && it->second == fill)
-            inflight_.erase(it);
-        install(fill);
-    }
+    while (!fillQueue_.empty())
+        completeNextFill();
     nextFillAt_ = neverCycle;
 }
 
@@ -231,9 +232,7 @@ CacheHierarchy::fetchAccess(CoreId core, Addr pc,
                                     static_cast<std::uint8_t>(transition)), now, pc);
 
     // Merge with an in-flight fill?
-    auto it = inflight_.find(line);
-    if (it != inflight_.end()) {
-        FillPtr fill = it->second;
+    if (Fill *fill = inflightFill(line)) {
         if (std::find(fill->targets.begin(), fill->targets.end(),
                       core) == fill->targets.end()) {
             fill->targets.push_back(core);
@@ -291,9 +290,8 @@ CacheHierarchy::fetchAccess(CoreId core, Addr pc,
                 traceDetailPack(traceLevelL2,
                                     static_cast<std::uint8_t>(transition)), now, pc);
     Cycle ready = memory_.read(now, false);
-    FillPtr fill = startFill(line, ready, false, true, true, false,
-                             core);
-    fill->fromMemory = true;
+    startFill(line, ready, false, true, true, false, core).fromMemory =
+        true;
     res.fromMemory = true;
     res.ready = ready;
     return res;
@@ -323,9 +321,7 @@ CacheHierarchy::dataAccess(CoreId core, Addr addr, bool isWrite,
                 static_cast<std::uint16_t>(core), line, 0,
                 traceLevelL1D, now);
 
-    auto it = inflight_.find(line);
-    if (it != inflight_.end()) {
-        FillPtr fill = it->second;
+    if (Fill *fill = inflightFill(line)) {
         if (std::find(fill->targets.begin(), fill->targets.end(),
                       core) == fill->targets.end())
             fill->targets.push_back(core);
@@ -339,9 +335,7 @@ CacheHierarchy::dataAccess(CoreId core, Addr addr, bool isWrite,
     AccessOutcome l2out = l2_.access(line, false);
     if (l2out.hit) {
         Cycle ready = now + params_.l2Latency;
-        FillPtr f = startFill(line, ready, false, false, false,
-                              isWrite, core);
-        (void)f;
+        startFill(line, ready, false, false, false, isWrite, core);
         res.ready = ready;
         return res;
     }
@@ -349,9 +343,8 @@ CacheHierarchy::dataAccess(CoreId core, Addr addr, bool isWrite,
     res.l2Miss = true;
     ++l2dMisses;
     Cycle ready = memory_.read(now, false);
-    FillPtr fill = startFill(line, ready, false, false, true, isWrite,
-                             core);
-    fill->fromMemory = true;
+    startFill(line, ready, false, false, true, isWrite, core)
+        .fromMemory = true;
     res.ready = ready;
     return res;
 }
@@ -368,9 +361,7 @@ CacheHierarchy::prefetchRequest(CoreId core, Addr addr, Cycle now)
         return res;
     }
 
-    auto it = inflight_.find(line);
-    if (it != inflight_.end()) {
-        FillPtr fill = it->second;
+    if (Fill *fill = inflightFill(line)) {
         if (std::find(fill->targets.begin(), fill->targets.end(),
                       core) != fill->targets.end()) {
             res.outcome = PrefetchOutcome::DroppedInFlight;
@@ -395,9 +386,8 @@ CacheHierarchy::prefetchRequest(CoreId core, Addr addr, Cycle now)
     // Selective install: in bypass mode instruction prefetches do not
     // enter the L2 until proven useful.
     bool install_l2 = !params_.prefetchBypassL2;
-    FillPtr fill = startFill(line, ready, true, true, install_l2,
-                             false, core);
-    fill->fromMemory = true;
+    startFill(line, ready, true, true, install_l2, false, core)
+        .fromMemory = true;
     res.outcome = PrefetchOutcome::Issued;
     res.ready = ready;
     res.fromMemory = true;

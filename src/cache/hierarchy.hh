@@ -20,12 +20,12 @@
 #include <array>
 #include <memory>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/cache.hh"
 #include "memory/memory.hh"
 #include "trace/record.hh"
+#include "util/flat_map.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -202,6 +202,8 @@ class CacheHierarchy
     void registerStats(StatGroup &group);
 
   private:
+    /** One in-flight fill (MSHR entry): a value record in the fill
+     *  slab, reused in place once installed. */
     struct Fill
     {
         Addr lineAddr = 0;
@@ -216,21 +218,34 @@ class CacheHierarchy
         /** cores whose L1I (instr) or L1D (data) receive the line */
         std::vector<CoreId> targets;
     };
-    using FillPtr = std::shared_ptr<Fill>;
+    using FillSlot = std::uint32_t;
 
     /** Complete fills whose ready time has passed. */
     void drain(Cycle now);
 
-    /** Install a completed fill into its targets. */
-    void install(const FillPtr &fill);
+    /** Pop the earliest fill, install it and free its slot. */
+    void completeNextFill();
+
+    /** Install a completed fill into its targets. @p fill lives in
+     *  the slab, so the eviction listeners it calls must not start
+     *  fills (none does: they only update prefetcher state). */
+    void install(Fill &fill);
 
     /** Insert into L2, handling dirty-victim writeback. */
     void insertL2(Addr lineAddr, const InsertFlags &flags, Cycle now);
 
-    /** Start a fill and register it in the in-flight map. */
-    FillPtr startFill(Addr lineAddr, Cycle ready, bool isPrefetch,
-                      bool isInstr, bool installL2, bool dirty,
-                      CoreId core);
+    /** Start a fill and register it in the in-flight index. */
+    Fill &startFill(Addr lineAddr, Cycle ready, bool isPrefetch,
+                    bool isInstr, bool installL2, bool dirty,
+                    CoreId core);
+
+    /** The in-flight fill of @p lineAddr, or nullptr. */
+    Fill *
+    inflightFill(Addr lineAddr)
+    {
+        const FillSlot *slot = inflight_.find(lineAddr);
+        return slot ? &fills_[*slot] : nullptr;
+    }
 
     HierarchyParams params_;
     std::vector<std::unique_ptr<SetAssocCache>> l1i_;
@@ -239,20 +254,31 @@ class CacheHierarchy
     MemoryChannel memory_;
     std::vector<PrefetchEvictionListener *> listeners_;
 
-    std::unordered_map<Addr, FillPtr> inflight_;
-    /** Completed Fill objects recycled by startFill (the control
-     *  block and targets capacity survive, so the steady state runs
-     *  allocation-free). */
-    std::vector<FillPtr> fillPool_;
+    /** Fill slab: every fill ever in flight at once has a slot here;
+     *  freeFills_ lists the idle ones (their targets capacity
+     *  survives, so the steady state runs allocation-free). */
+    std::vector<Fill> fills_;
+    std::vector<FillSlot> freeFills_;
+    /** In-flight index: line address -> fill slot. */
+    FlatAddrMap<FillSlot> inflight_;
+
+    /** Heap entry: fills complete in ready order. The comparator
+     *  looks at ready only, so equal-ready fills pop in the order
+     *  the heap operations alone determine. */
+    struct FillRef
+    {
+        Cycle ready;
+        FillSlot slot;
+    };
     struct FillLater
     {
         bool
-        operator()(const FillPtr &a, const FillPtr &b) const
+        operator()(const FillRef &a, const FillRef &b) const
         {
-            return a->ready > b->ready;
+            return a.ready > b.ready;
         }
     };
-    std::priority_queue<FillPtr, std::vector<FillPtr>, FillLater>
+    std::priority_queue<FillRef, std::vector<FillRef>, FillLater>
         fillQueue_;
     /** Earliest in-flight ready time: drain() — called on every
      *  hierarchy entry point — early-outs on one plain compare

@@ -28,10 +28,10 @@ PrefetchEngine::PrefetchEngine(const PrefetchConfig &cfg, CoreId core,
 void
 PrefetchEngine::credit(Addr lineAddr, Cycle now)
 {
-    auto it = origins_.find(lineAddr);
-    if (it == origins_.end())
+    const LivePrefetch *found = origins_.find(lineAddr);
+    if (!found)
         return;
-    const LivePrefetch &lp = it->second;
+    const LivePrefetch &lp = *found;
     ++usefulPrefetches;
     ++usefulByOrigin[static_cast<std::size_t>(lp.origin)];
     if (now >= lp.issuedAt)
@@ -46,7 +46,7 @@ PrefetchEngine::credit(Addr lineAddr, Cycle now)
         profiler_->prefetchResolved(lp.trigger, lineAddr, lp.origin,
                                     true);
     lastCredit_ = {lineAddr, lp.origin, lp.id};
-    origins_.erase(it);
+    origins_.erase(lineAddr);
 }
 
 void
@@ -167,18 +167,15 @@ PrefetchEngine::issueOne(Cycle now)
         if (res.ready >= now)
             fillLatency_.add(res.ready - now);
         Addr line = hierarchy_.lineOf(cand->lineAddr);
-        auto it = origins_.find(line);
-        if (it != origins_.end()) {
+        LivePrefetch &lp = origins_[line];
+        if (lp.id != 0) { // ids start at 1: 0 is a fresh record
             // A previous lifecycle for this line is still unresolved:
             // the new issue supersedes it.
             ++replacedInFlight;
             IPREF_TRACE(TraceEventType::PrefetchReplaced, core_, line,
-                        it->second.id,
-                        static_cast<std::uint8_t>(it->second.origin),
-                        now, it->second.trigger);
-            origins_.erase(it);
+                        lp.id, static_cast<std::uint8_t>(lp.origin),
+                        now, lp.trigger);
         }
-        LivePrefetch lp;
         lp.origin = cand->origin;
         lp.tableIndex = cand->tableIndex;
         lp.id = nextPrefetchId_++;
@@ -191,7 +188,6 @@ PrefetchEngine::issueOne(Cycle now)
                     lp.trigger);
         if (profiler_)
             profiler_->prefetchIssued(lp.trigger, line, lp.origin);
-        origins_.emplace(line, lp);
         break;
       }
       case PrefetchOutcome::DroppedPresent:
@@ -224,37 +220,37 @@ PrefetchEngine::prefetchedLineEvicted(CoreId core, Addr lineAddr,
                                       bool used)
 {
     (void)core;
-    auto it = origins_.find(lineAddr);
+    const LivePrefetch *lp = origins_.find(lineAddr);
     if (!used) {
         ++uselessPrefetches;
-        if (it != origins_.end()) {
+        if (lp) {
             IPREF_TRACE(TraceEventType::PrefetchUseless, core_,
-                        lineAddr, it->second.id,
-                        static_cast<std::uint8_t>(it->second.origin),
-                        TraceSink::traceNowHint, it->second.trigger);
+                        lineAddr, lp->id,
+                        static_cast<std::uint8_t>(lp->origin),
+                        TraceSink::traceNowHint, lp->trigger);
             if (profiler_)
-                profiler_->prefetchResolved(it->second.trigger,
+                profiler_->prefetchResolved(lp->trigger,
                                             lineAddr,
-                                            it->second.origin, false);
-            origins_.erase(it);
+                                            lp->origin, false);
+            origins_.erase(lineAddr);
         } else {
             IPREF_TRACE(TraceEventType::PrefetchUseless, core_,
                         lineAddr, 0, 0, TraceSink::traceNowHint);
         }
-    } else if (it != origins_.end()) {
+    } else if (lp) {
         // Normally credited (and erased) at first use; the line was
         // used but the use event was not observed — close the
         // lifecycle as useful without a latency sample.
         ++uncreditedUseful;
-        ++usefulByOrigin[static_cast<std::size_t>(it->second.origin)];
+        ++usefulByOrigin[static_cast<std::size_t>(lp->origin)];
         IPREF_TRACE(TraceEventType::PrefetchUseful, core_, lineAddr,
-                    it->second.id,
-                    static_cast<std::uint8_t>(it->second.origin),
-                    TraceSink::traceNowHint, it->second.trigger);
+                    lp->id,
+                    static_cast<std::uint8_t>(lp->origin),
+                    TraceSink::traceNowHint, lp->trigger);
         if (profiler_)
-            profiler_->prefetchResolved(it->second.trigger, lineAddr,
-                                        it->second.origin, true);
-        origins_.erase(it);
+            profiler_->prefetchResolved(lp->trigger, lineAddr,
+                                        lp->origin, true);
+        origins_.erase(lineAddr);
     }
 }
 

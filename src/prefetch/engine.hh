@@ -15,7 +15,6 @@
 
 #include <array>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/hierarchy.hh"
@@ -25,6 +24,7 @@
 #include "prefetch/prefetcher.hh"
 #include "prefetch/call_graph.hh"
 #include "prefetch/wrong_path.hh"
+#include "util/flat_map.hh"
 #include "util/stats.hh"
 
 namespace ipref
@@ -225,7 +225,7 @@ class PrefetchEngine : public PrefetchEvictionListener
     {
         PrefetchOrigin origin = PrefetchOrigin::Sequential;
         std::uint32_t tableIndex = 0;
-        std::uint64_t id = 0;
+        std::uint64_t id = 0; //!< 0 until issued (ids start at 1)
         Cycle issuedAt = 0;
         Addr trigger = invalidAddr; //!< generating site (attribution)
     };
@@ -255,7 +255,8 @@ class PrefetchEngine : public PrefetchEvictionListener
     FetchHistory history_;
     std::unique_ptr<ConfidenceFilter> confidence_;
     std::vector<PrefetchCandidate> scratch_;
-    std::unordered_map<Addr, LivePrefetch> origins_;
+    /** Unresolved prefetch lifecycles by line. */
+    FlatAddrMap<LivePrefetch> origins_;
     std::uint64_t nextPrefetchId_ = 1;
     Log2Histogram issueToUse_;
     Log2Histogram fillLatency_;

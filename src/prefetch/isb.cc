@@ -32,8 +32,8 @@ IsbPrefetcher::IsbPrefetcher(const IsbConfig &cfg, unsigned lineBytes)
 std::uint64_t
 IsbPrefetcher::psLookup(Addr phys)
 {
-    auto it = ps_.find(phys);
-    if (it == ps_.end())
+    const std::uint64_t *structural = ps_.find(phys);
+    if (!structural)
         return kNoStructural;
     std::size_t slot = static_cast<std::size_t>(
         splitMix64(phys) % psCache_.size());
@@ -43,14 +43,14 @@ IsbPrefetcher::psLookup(Addr phys)
         ++metaOffChipReads_;
         psCache_[slot] = phys;
     }
-    return it->second;
+    return *structural;
 }
 
 Addr
 IsbPrefetcher::spLookup(std::uint64_t structural)
 {
-    auto it = sp_.find(structural);
-    if (it == sp_.end())
+    const Addr *phys = sp_.find(structural);
+    if (!phys)
         return invalidAddr;
     std::size_t slot = static_cast<std::size_t>(
         splitMix64(structural) % spCache_.size());
@@ -58,7 +58,7 @@ IsbPrefetcher::spLookup(std::uint64_t structural)
         ++metaOffChipReads_;
         spCache_[slot] = structural;
     }
-    return it->second;
+    return *phys;
 }
 
 void
@@ -170,9 +170,9 @@ IsbPrefetcher::onDemandFetch(const DemandFetchEvent &event,
                     ps_.erase(occupant);
             }
             if (sCur != kNoStructural) {
-                auto old = sp_.find(sCur);
-                if (old != sp_.end() && old->second == curG)
-                    sp_.erase(old);
+                const Addr *old = sp_.find(sCur);
+                if (old && *old == curG)
+                    sp_.erase(sCur);
             }
             map(curG, sNext);
         }

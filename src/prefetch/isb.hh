@@ -14,10 +14,10 @@
 #ifndef IPREF_PREFETCH_ISB_HH
 #define IPREF_PREFETCH_ISB_HH
 
-#include <unordered_map>
 #include <vector>
 
 #include "prefetch/temporal.hh"
+#include "util/flat_map.hh"
 
 namespace ipref
 {
@@ -72,8 +72,8 @@ class IsbPrefetcher : public TemporalPrefetcherBase
                    std::vector<PrefetchCandidate> &out) const;
 
     IsbConfig cfg_;
-    std::unordered_map<Addr, std::uint64_t> ps_; //!< off-chip PS map
-    std::unordered_map<std::uint64_t, Addr> sp_; //!< off-chip SP map
+    FlatAddrMap<std::uint64_t> ps_; //!< off-chip PS map
+    FlatAddrMap<Addr> sp_;          //!< off-chip SP map
     std::uint64_t nextStream_ = 0; //!< next unallocated stream base
 
     /** Direct-mapped on-chip metadata caches (tag = the key). */

@@ -12,15 +12,27 @@
  *  - demand fetches invalidate matching waiting entries;
  *  - unused slots retain records of issued/invalidated prefetches so
  *    near-future duplicates can be suppressed.
+ *
+ * Layout: slots never move. Queue order is an age stamp per slot
+ * (larger = newer; a push or hoist takes a fresh stamp), and an
+ * exact line -> slot index makes duplicate pushes, hoists and demand
+ * invalidations O(1). Only the two order queries scan: issue takes
+ * the newest waiting slot, and a full queue reclaims the oldest
+ * record, else the oldest waiting slot. Each is one min or max over
+ * a per-slot key: a "waiting" top bit (waiting slots sort above
+ * every record), then the age stamp, then the slot number in the
+ * low bits, so the extreme key names its slot directly.
  */
 
 #ifndef IPREF_PREFETCH_PREFETCH_QUEUE_HH
 #define IPREF_PREFETCH_PREFETCH_QUEUE_HH
 
-#include <deque>
 #include <optional>
+#include <vector>
 
 #include "prefetch/prefetcher.hh"
+#include "util/flat_map.hh"
+#include "util/logging.hh"
 #include "util/stats.hh"
 #include "util/types.hh"
 
@@ -61,7 +73,7 @@ class PrefetchQueue
     bool hasWaiting() const { return waitingCount_ > 0; }
 
     /** All occupied slots (waiting + records). */
-    unsigned size() const { return static_cast<unsigned>(slots_.size()); }
+    unsigned size() const { return static_cast<unsigned>(keys_.size()); }
 
     unsigned capacity() const { return capacity_; }
 
@@ -82,16 +94,39 @@ class PrefetchQueue
         Issued,
         Invalidated,
     };
-    struct Slot
+
+    /** Set in a waiting slot's key: waiting slots order above every
+     *  record, and by age among themselves. */
+    static constexpr std::uint64_t kWaitingBit = std::uint64_t{1} << 63;
+
+    /** Give slot @p i a fresh (newest) key, waiting. */
+    void
+    stampWaiting(std::size_t i)
     {
-        PrefetchCandidate cand;
-        State state;
-    };
+        ++clock_;
+        ipref_assert(clock_ < (kWaitingBit >> slotBits_));
+        keys_[i] = kWaitingBit | (clock_ << slotBits_) | i;
+    }
 
-    /** Make room for one more slot; drops records before prefetches. */
-    void makeRoom();
+    /** Turn waiting slot @p i into a record in state @p to. */
+    void
+    retire(std::size_t i, State to)
+    {
+        states_[i] = to;
+        keys_[i] &= ~kWaitingBit;
+        --waitingCount_;
+    }
 
-    std::deque<Slot> slots_; //!< front = newest
+    // Slot i is cands_[i], states_[i], keys_[i]; the arrays grow to
+    // capacity_ and slots are then reused in place.
+    std::vector<PrefetchCandidate> cands_;
+    std::vector<State> states_;
+    /** kWaitingBit | age stamp << slotBits_ | slot number. */
+    std::vector<std::uint64_t> keys_;
+    FlatAddrMap<std::uint32_t> index_; //!< line -> slot, every slot
+    std::uint64_t clock_ = 0;          //!< last age stamp handed out
+    unsigned slotBits_;                //!< low key bits for the slot
+    std::uint64_t slotMask_;
     unsigned capacity_;
     unsigned waitingCount_ = 0; //!< slots in State::Waiting
     unsigned waitingHighWater_ = 0;

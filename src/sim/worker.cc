@@ -269,6 +269,9 @@ workerMain(const Options &opts)
         heartbeat.join();
     };
 
+    metrics::Counter &instrs = metrics::registry().counter(
+        "ipref_sim_instructions_total");
+    const int pid = static_cast<int>(::getpid());
     for (;;) {
         ProtoMessage run;
         {
@@ -316,6 +319,11 @@ workerMain(const Options &opts)
             st.runningId = -1;
         }
 
+        // One last beat carrying the final instruction count, so the
+        // coordinator's fleet total includes the whole run, not just
+        // what the periodic beats happened to sample.
+        if (!sendLine(st, heartbeatLine(pid, instrs.value(), -1)))
+            break; // coordinator gone
         std::string line =
             outcomeLine(run.id, run.fingerprint, outcome) + "\n";
         if (fault::shouldFire("worker.truncate_outcome")) {

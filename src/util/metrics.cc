@@ -157,6 +157,26 @@ leLabel(double bound)
     return n;
 }
 
+/** `# HELP` line for @p name when it has help text; the exposition
+ *  format escapes backslash as `\\` and newline as `\n`. */
+void
+renderHelp(std::ostream &os, const Snapshot &s, const std::string &name)
+{
+    auto it = s.help.find(name);
+    if (it == s.help.end())
+        return;
+    os << "# HELP " << name << ' ';
+    for (char c : it->second) {
+        if (c == '\\')
+            os << "\\\\";
+        else if (c == '\n')
+            os << "\\n";
+        else
+            os << c;
+    }
+    os << '\n';
+}
+
 } // namespace
 
 std::string
@@ -164,14 +184,17 @@ renderPrometheus(const Snapshot &s)
 {
     std::ostringstream os;
     for (const auto &[name, value] : s.counters) {
+        renderHelp(os, s, name);
         os << "# TYPE " << name << " counter\n"
            << name << " " << value << "\n";
     }
     for (const auto &[name, value] : s.gauges) {
+        renderHelp(os, s, name);
         os << "# TYPE " << name << " gauge\n"
            << name << " " << value << "\n";
     }
     for (const HistogramSample &h : s.histograms) {
+        renderHelp(os, s, h.name);
         os << "# TYPE " << h.name << " histogram\n";
         std::uint64_t cum = 0;
         for (std::size_t b = 0; b < h.bounds.size(); ++b) {
@@ -198,7 +221,7 @@ parsePrometheus(const std::string &text)
         if (line.empty())
             continue;
         if (line[0] == '#') {
-            // "# TYPE <name> <type>"
+            // "# TYPE <name> <type>"; "# HELP" and comments skipped.
             std::istringstream ls(line);
             std::string hash, kw, name, type;
             ls >> hash >> kw >> name >> type;
@@ -448,6 +471,8 @@ Registry::snapshot() const
     // byName is a std::map: iteration is already name-ordered, which
     // keeps every rendering deterministic.
     for (const auto &[name, rec] : im->byName) {
+        if (!rec.help.empty())
+            s.help.emplace(name, rec.help);
         switch (rec.kind) {
           case Kind::Counter:
             s.counters.emplace_back(

@@ -23,6 +23,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -58,6 +59,10 @@ struct Snapshot
     std::vector<std::pair<std::string, std::uint64_t>> counters;
     std::vector<std::pair<std::string, std::int64_t>> gauges;
     std::vector<HistogramSample> histograms;
+    /** Non-empty help text by instrument name. The Prometheus
+     *  exposition renders it; the JSON-lines format does not carry
+     *  it. */
+    std::map<std::string, std::string> help;
 
     /** Value of counter @p name, or nullptr when absent. */
     const std::uint64_t *counter(const std::string &name) const;
@@ -75,17 +80,20 @@ std::string snapshotToJsonLine(const Snapshot &s);
  * Parse one JSON-lines record produced by snapshotToJsonLine. Throws
  * std::runtime_error on malformed input. Exact round trip:
  * parseSnapshotLine(snapshotToJsonLine(s)) == s for integral values
- * within the double-exact range.
+ * within the double-exact range and an empty help map.
  */
 Snapshot parseSnapshotLine(const std::string &line);
 
-/** Render @p s in the Prometheus text exposition format. */
+/** Render @p s in the Prometheus text exposition format: a
+ *  `# HELP` line (backslash and newline escaped) for instruments with
+ *  help text, then `# TYPE` and the samples. */
 std::string renderPrometheus(const Snapshot &s);
 
 /**
  * Parse a Prometheus text exposition produced by renderPrometheus
  * back into a Snapshot (counters/gauges only; histogram series are
- * reconstructed from their _bucket/_sum/_count samples). Used by
+ * reconstructed from their _bucket/_sum/_count samples; `# HELP`
+ * lines are skipped, so the help map stays empty). Used by
  * `ipref_top --prom` and the golden-format tests.
  */
 Snapshot parsePrometheus(const std::string &text);

@@ -9,10 +9,10 @@
 namespace ipref
 {
 
-std::shared_ptr<const ZipfSampler::Table>
+std::unique_ptr<const ZipfSampler::Table>
 ZipfSampler::build(std::size_t n, double alpha)
 {
-    auto t = std::make_shared<Table>();
+    auto t = std::make_unique<Table>();
     t->cdf.resize(n);
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
@@ -37,20 +37,21 @@ ZipfSampler::build(std::size_t n, double alpha)
 ZipfSampler::ZipfSampler(std::size_t n, double alpha)
 {
     ipref_assert(n > 0 && n < (std::size_t{1} << 32));
-    // Live tables by shape; a table dies with its last sampler.
+    // Tables by shape, built on first use and kept for the process:
+    // every System of a campaign reuses them instead of rebuilding.
+    // Leaked on purpose, so no sampler outlives its table during
+    // static destruction.
     static std::mutex mu;
-    static std::map<std::pair<std::size_t, std::uint64_t>,
-                    std::weak_ptr<const Table>>
-        live;
+    static auto *tables =
+        new std::map<std::pair<std::size_t, std::uint64_t>,
+                     std::unique_ptr<const Table>>;
     const auto key =
         std::make_pair(n, std::bit_cast<std::uint64_t>(alpha));
     std::lock_guard<std::mutex> lock(mu);
-    std::weak_ptr<const Table> &slot = live[key];
-    table_ = slot.lock();
-    if (!table_) {
-        table_ = build(n, alpha);
-        slot = table_;
-    }
+    std::unique_ptr<const Table> &slot = (*tables)[key];
+    if (!slot)
+        slot = build(n, alpha);
+    table_ = slot.get();
 }
 
 std::size_t

@@ -151,9 +151,10 @@ class Rng
  * entries of the draw's 1/kGuideBuckets slice of [0, 1), falling
  * back to the full search whenever the slice bounds do not bracket
  * the draw, so every draw returns exactly std::lower_bound's index.
- * The tables are immutable and shared process-wide per (n, alpha):
- * samplers of equal shape (every core's walker of one preset) build
- * the CDF once. Rank 0 is the most popular item.
+ * The tables are immutable, shared per (n, alpha) and kept for the
+ * life of the process: samplers of equal shape (every core's walker
+ * of one preset, and every later System built from it) build the
+ * CDF once. Rank 0 is the most popular item.
  */
 class ZipfSampler
 {
@@ -186,10 +187,10 @@ class ZipfSampler
         std::vector<std::uint32_t> guide;
     };
 
-    static std::shared_ptr<const Table> build(std::size_t n,
+    static std::unique_ptr<const Table> build(std::size_t n,
                                               double alpha);
 
-    std::shared_ptr<const Table> table_;
+    const Table *table_; //!< owned by the process-wide table cache
 };
 
 } // namespace ipref

@@ -369,12 +369,22 @@ TEST(CampaignE2E, MatchesSingleProcessRunBatchBitExactly)
 
     BatchOptions seq;
     seq.jobs = 1;
+    metrics::Snapshot start = metrics::registry().snapshot();
     std::vector<RunOutcome> baseline = runBatch(specs, seq);
 
     metrics::Snapshot before = metrics::registry().snapshot();
     std::vector<RunOutcome> dist =
         runCampaign(specs, testCampaign(2));
     metrics::Snapshot after = metrics::registry().snapshot();
+
+    // The fleet's instruction total, folded from worker heartbeats,
+    // matches what the same specs publish in-process: each worker
+    // beats its final count before every outcome.
+    const std::uint64_t inProcess =
+        counterRise(start, before, "ipref_sim_instructions_total");
+    EXPECT_GT(inProcess, 0u);
+    EXPECT_EQ(counterRise(before, after, "ipref_sim_instructions_total"),
+              inProcess);
 
     // The coordinator's live batch accounting matches runBatch's:
     // every spec completes Ok and each lane is freed again.

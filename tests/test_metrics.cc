@@ -196,6 +196,45 @@ TEST(MetricsSnapshot, PrometheusRoundTripRecoversSeries)
     EXPECT_EQ(back, s);
 }
 
+// Help text reaches the exposition as one escaped `# HELP` line per
+// instrument, and the parser skips it: a backslash or newline in a
+// description cannot split the line or leak into a sample.
+TEST(MetricsSnapshot, PrometheusHelpIsEscapedAndSkippedOnParse)
+{
+    Snapshot s = sampleSnapshot();
+    s.seq = 0;
+    s.unixMs = 0;
+    s.help = {{"ipref_test_c", "a\\b\nc"},
+              {"ipref_test_g", "plain"},
+              {"ipref_test_h", "latency"}};
+    const std::string text = renderPrometheus(s);
+    EXPECT_NE(text.find("# HELP ipref_test_c a\\\\b\\nc\n"
+                        "# TYPE ipref_test_c counter\n"),
+              std::string::npos)
+        << text;
+    EXPECT_NE(text.find("# HELP ipref_test_g plain\n"), std::string::npos);
+    EXPECT_NE(text.find("# HELP ipref_test_h latency\n"
+                        "# TYPE ipref_test_h histogram\n"),
+              std::string::npos);
+    // No help, no HELP line.
+    EXPECT_EQ(text.find("# HELP ipref_test_c2"), std::string::npos);
+
+    Snapshot back = parsePrometheus(text);
+    s.help.clear(); // not carried back
+    EXPECT_EQ(back, s);
+}
+
+// The registry's snapshot carries every non-empty help string.
+TEST(MetricsSnapshot, RegistrySnapshotCarriesHelp)
+{
+    registry().counter("ipref_test_help_c", "counts things");
+    registry().gauge("ipref_test_help_g");
+    Snapshot s = registry().snapshot();
+    ASSERT_EQ(s.help.count("ipref_test_help_c"), 1u);
+    EXPECT_EQ(s.help.at("ipref_test_help_c"), "counts things");
+    EXPECT_EQ(s.help.count("ipref_test_help_g"), 0u);
+}
+
 // --- instruments ------------------------------------------------------
 
 TEST(MetricsRegistry, SameNameReturnsSameInstrument)

@@ -1,13 +1,18 @@
 /**
  * @file
- * Tests for the prefetch queue (Section 4.1 semantics) and the
+ * Tests for the prefetch queue (Section 4.1 semantics), including a
+ * differential test against a naive reference model, and the
  * recent-demand-fetch filter.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "prefetch/fetch_history.hh"
 #include "prefetch/prefetch_queue.hh"
+#include "reference_prefetch_queue.hh"
+#include "util/rng.hh"
 
 using namespace ipref;
 
@@ -162,4 +167,77 @@ TEST(History, Capacity)
     FetchHistory h(32);
     EXPECT_EQ(h.capacity(), 32u);
     EXPECT_FALSE(h.contains(0));
+}
+
+namespace
+{
+
+/** Run one seeded random operation stream through the queue and
+ *  the naive reference, comparing every observable after each op. */
+void
+diffAgainstReference(unsigned capacity, unsigned lines, std::uint64_t seed)
+{
+    PrefetchQueue q(capacity);
+    test::ReferencePrefetchQueue ref(capacity);
+    Rng rng(seed);
+    auto line = [&] { return rng.below(lines) * 64 + 0x400000; };
+    for (int op = 0; op < 20000; ++op) {
+        std::uint64_t kind = rng.below(10);
+        if (kind < 6) {
+            // Distinct payloads per push, so a hoist that kept the
+            // new candidate instead of the queued one would show.
+            PrefetchCandidate c;
+            c.lineAddr = line();
+            c.origin = static_cast<PrefetchOrigin>(
+                rng.below(static_cast<std::uint64_t>(
+                    PrefetchOrigin::NumOrigins)));
+            c.tableIndex = static_cast<std::uint32_t>(op);
+            c.triggerAddr = line();
+            ASSERT_EQ(q.push(c), ref.push(c)) << "op " << op;
+        } else if (kind < 9) {
+            auto a = q.popForIssue();
+            auto b = ref.popForIssue();
+            ASSERT_EQ(a.has_value(), b.has_value()) << "op " << op;
+            if (a) {
+                ASSERT_EQ(a->lineAddr, b->lineAddr) << "op " << op;
+                ASSERT_EQ(a->origin, b->origin);
+                ASSERT_EQ(a->tableIndex, b->tableIndex);
+                ASSERT_EQ(a->triggerAddr, b->triggerAddr);
+            }
+        } else {
+            Addr l = line();
+            q.demandFetched(l);
+            ref.demandFetched(l);
+        }
+        ASSERT_EQ(q.waiting(), ref.waiting()) << "op " << op;
+        ASSERT_EQ(q.size(), ref.size()) << "op " << op;
+    }
+    EXPECT_EQ(q.pushes.value(), ref.pushes.value());
+    EXPECT_EQ(q.hoists.value(), ref.hoists.value());
+    EXPECT_EQ(q.duplicateDrops.value(), ref.duplicateDrops.value());
+    EXPECT_EQ(q.overflowDrops.value(), ref.overflowDrops.value());
+    EXPECT_EQ(q.demandInvalidations.value(),
+              ref.demandInvalidations.value());
+    EXPECT_EQ(q.waitingHighWater(), ref.waitingHighWater());
+}
+
+} // namespace
+
+// The array queue with its membership filter against the deque
+// reference of the Section 4.1 rules, from a queue of one up to one
+// larger than the line universe (never overflows), with universes
+// small enough that hoists, record drops and invalidations are common.
+TEST(Queue, MatchesNaiveReference)
+{
+    const std::pair<unsigned, unsigned> shapes[] = {
+        {1, 4},  {2, 8},   {3, 16},  {8, 24},
+        {32, 48}, {32, 400}, {100, 90}};
+    std::uint64_t seed = 11;
+    for (auto [capacity, lines] : shapes) {
+        SCOPED_TRACE("capacity " + std::to_string(capacity) +
+                     " lines " + std::to_string(lines));
+        diffAgainstReference(capacity, lines, seed++);
+        if (HasFatalFailure())
+            return;
+    }
 }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the util library: RNG, bit utilities, histograms,
- * stats, tables and option parsing.
+ * stats, tables, option parsing, and FlatAddrMap diffed against
+ * std::unordered_map.
  */
 
 #include <gtest/gtest.h>
@@ -16,8 +17,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <thread>
+#include <unordered_map>
 
 #include "util/bitutil.hh"
+#include "util/flat_map.hh"
 #include "util/histogram.hh"
 #include "util/options.hh"
 #include "util/rng.hh"
@@ -181,6 +184,146 @@ TEST(Zipf, EqualShapesShareOneTable)
     Rng ra(5), rb(5);
     for (int i = 0; i < 1000; ++i)
         EXPECT_EQ(a.sample(ra), b.sample(rb));
+}
+
+// A table outlives its samplers: a later System of the same preset
+// reuses it instead of rebuilding the CDF.
+TEST(Zipf, TablesOutliveTheirSamplers)
+{
+    const double *first = nullptr;
+    {
+        ZipfSampler a(12345, 0.77);
+        first = a.cdf().data();
+    }
+    // Claim a block of the table's size, so a rebuilt table could not
+    // land at the address the first one had.
+    std::vector<double> squatter(12345, 0.0);
+    ZipfSampler b(12345, 0.77);
+    EXPECT_EQ(b.cdf().data(), first);
+    EXPECT_NE(squatter.data(), first);
+}
+
+namespace
+{
+
+/** Diff every point operation of a FlatAddrMap against
+ *  std::unordered_map, then check all of @p keys are findable. */
+class FlatMapDiff
+{
+  public:
+    explicit FlatMapDiff(std::size_t expected) : flat(expected) {}
+
+    void
+    put(Addr key, std::uint64_t value)
+    {
+        flat[key] = value;
+        ref[key] = value;
+        ASSERT_EQ(flat.size(), ref.size());
+    }
+
+    void
+    erase(Addr key)
+    {
+        ASSERT_EQ(flat.erase(key), ref.erase(key) == 1) << key;
+        ASSERT_EQ(flat.size(), ref.size());
+    }
+
+    void
+    find(Addr key) const
+    {
+        const std::uint64_t *got = flat.find(key);
+        auto it = ref.find(key);
+        ASSERT_EQ(got != nullptr, it != ref.end()) << key;
+        if (got) {
+            ASSERT_EQ(*got, it->second) << key;
+        }
+    }
+
+    void
+    findAll(const std::vector<Addr> &keys) const
+    {
+        for (Addr k : keys)
+            find(k);
+    }
+
+    FlatAddrMap<std::uint64_t> flat;
+    std::unordered_map<Addr, std::uint64_t> ref;
+};
+
+} // namespace
+
+TEST(FlatAddrMap, RandomStreamsMatchUnorderedMap)
+{
+    for (std::uint64_t seed : {1, 2, 3}) {
+        Rng rng(seed);
+        // Line addresses (the common key) and arbitrary 64-bit keys.
+        std::vector<Addr> keys;
+        for (int i = 0; i < 3000; ++i)
+            keys.push_back(i % 2 ? rng.below(1u << 20) * 64
+                                 : rng.next() | 1);
+        FlatMapDiff d(seed == 1 ? 0 : 64);
+        for (int op = 0; op < 60000; ++op) {
+            Addr k = keys[rng.below(keys.size())];
+            switch (rng.below(4)) {
+              case 0:
+              case 1:
+                d.put(k, rng.next());
+                break;
+              case 2:
+                d.erase(k);
+                break;
+              default:
+                d.find(k);
+                break;
+            }
+            if (HasFatalFailure())
+                return;
+        }
+        d.findAll(keys);
+        // invalidAddr marks empty slots: it is never found or erased.
+        EXPECT_EQ(d.flat.find(invalidAddr), nullptr);
+        EXPECT_FALSE(d.flat.erase(invalidAddr));
+    }
+}
+
+// Keys homed in the last slots of the table probe past its end and
+// wrap to slot 0, where they interleave with keys homed there; erasing
+// from the middle of such a run makes backward shift move entries
+// across the wrap and past entries that must stay put.
+TEST(FlatAddrMap, WrapAroundAndLongShiftChains)
+{
+    FlatMapDiff d(64);
+    const std::size_t cap = d.flat.capacity();
+    ASSERT_GE(cap, 64u);
+    Rng rng(7);
+    std::vector<Addr> keys;
+    // 20 keys homed at cap-2 or cap-1, 10 at 0..2: one 30-long run.
+    unsigned tail = 0, head = 0;
+    while (tail < 20 || head < 10) {
+        Addr k = rng.next();
+        std::size_t h = d.flat.home(k);
+        if (h >= cap - 2 && tail < 20)
+            ++tail;
+        else if (h <= 2 && head < 10)
+            ++head;
+        else
+            continue;
+        keys.push_back(k);
+        d.put(k, k ^ 0x5555);
+    }
+    ASSERT_EQ(d.flat.capacity(), cap); // no growth: the run stays
+    d.findAll(keys);
+    // Erase in random order, re-checking every key each time.
+    std::vector<Addr> order = keys;
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.below(i)]);
+    for (std::size_t i = 0; i < order.size(); ++i) {
+        d.erase(order[i]);
+        d.findAll(keys);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_TRUE(d.flat.empty());
 }
 
 TEST(BitUtil, PowersOfTwo)
