@@ -311,18 +311,40 @@ BM_ZipfSample(benchmark::State &state)
 }
 BENCHMARK(BM_ZipfSample);
 
+// Generator cost per record through the batch walker, in the
+// 512-record pulls the cores make.
 void
 BM_WorkloadGeneration(benchmark::State &state)
 {
     auto wl = makeWorkload(WorkloadKind::WEB, 0);
-    InstrRecord rec;
+    std::vector<InstrRecord> block(512);
     for (auto _ : state) {
-        wl->next(rec);
-        benchmark::DoNotOptimize(rec);
+        wl->nextBatch(block);
+        benchmark::DoNotOptimize(block.data());
+        benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(state.iterations());
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(block.size()));
 }
 BENCHMARK(BM_WorkloadGeneration);
+
+// The same walk one next() call per record, for the same 512 records
+// per iteration, as the time-sliced runs pull it.
+void
+BM_WorkloadGenerationScalar(benchmark::State &state)
+{
+    auto wl = makeWorkload(WorkloadKind::WEB, 0);
+    std::vector<InstrRecord> block(512);
+    for (auto _ : state) {
+        for (InstrRecord &rec : block)
+            wl->next(rec);
+        benchmark::DoNotOptimize(block.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(block.size()));
+}
+BENCHMARK(BM_WorkloadGenerationScalar);
 
 } // namespace
 

@@ -397,19 +397,24 @@ CacheHierarchy::prefetchRequest(CoreId core, Addr addr, Cycle now)
 void
 CacheHierarchy::registerStats(StatGroup &group)
 {
-    group.addCounter("fetch_line_accesses", &fetchLineAccesses);
-    group.addCounter("l1i_misses", &l1iMisses);
+    group.addCounter("fetch_line_accesses", &fetchLineAccesses,
+                     "demand instruction line fetches");
+    group.addCounter("l1i_misses", &l1iMisses, "demand L1I misses");
     group.addCounter("l1i_eliminated", &l1iEliminated,
                      "misses removed by the ideal filter");
     group.addCounter("l1i_first_use_hits", &l1iFirstUseHits,
                      "first use of a prefetched line");
     group.addCounter("l1i_late_hits", &l1iLateHits,
                      "demand merged with in-flight prefetch");
-    group.addCounter("l2i_misses", &l2iMisses);
-    group.addCounter("l1d_accesses", &l1dAccesses);
-    group.addCounter("l1d_misses", &l1dMisses);
-    group.addCounter("l2d_misses", &l2dMisses);
-    group.addCounter("l2_writebacks_mem", &l2WritebacksToMem);
+    group.addCounter("l2i_misses", &l2iMisses,
+                     "demand instruction misses in L2");
+    group.addCounter("l1d_accesses", &l1dAccesses,
+                     "data loads and stores");
+    group.addCounter("l1d_misses", &l1dMisses, "data misses in L1D");
+    group.addCounter("l2d_misses", &l2dMisses,
+                     "demand data misses in L2");
+    group.addCounter("l2_writebacks_mem", &l2WritebacksToMem,
+                     "dirty L2 evictions written to memory");
     group.addCounter("bypass_installs", &bypassInstalls,
                      "useful prefetches installed into L2 on evict");
     group.addCounter("bypass_drops", &bypassDrops,
@@ -417,14 +422,14 @@ CacheHierarchy::registerStats(StatGroup &group)
     for (std::size_t i = 0;
          i < static_cast<std::size_t>(FetchTransition::NumTransitions);
          ++i) {
-        group.addCounter(
-            std::string("l1i_miss.") +
-                transitionName(static_cast<FetchTransition>(i)),
-            &l1iMissByTransition[i]);
-        group.addCounter(
-            std::string("l2i_miss.") +
-                transitionName(static_cast<FetchTransition>(i)),
-            &l2iMissByTransition[i]);
+        const std::string kind =
+            transitionName(static_cast<FetchTransition>(i));
+        group.addCounter("l1i_miss." + kind, &l1iMissByTransition[i],
+                         "L1I misses reached by a " + kind +
+                             " fetch transition");
+        group.addCounter("l2i_miss." + kind, &l2iMissByTransition[i],
+                         "L2 instruction misses reached by a " + kind +
+                             " fetch transition");
     }
 }
 

@@ -153,11 +153,15 @@ FrontEndPredictor::predict(const InstrRecord &rec)
 void
 FrontEndPredictor::registerStats(StatGroup &group)
 {
-    group.addCounter("ctis", &ctis);
-    group.addCounter("mispredicts", &mispredicts);
-    group.addCounter("cond_mispredicts", &condMispredicts);
-    group.addCounter("jump_mispredicts", &jumpMispredicts);
-    group.addCounter("return_mispredicts", &returnMispredicts);
+    group.addCounter("ctis", &ctis, "control transfers predicted");
+    group.addCounter("mispredicts", &mispredicts,
+                     "control transfers mispredicted");
+    group.addCounter("cond_mispredicts", &condMispredicts,
+                     "conditional branch direction mispredictions");
+    group.addCounter("jump_mispredicts", &jumpMispredicts,
+                     "indirect jump target mispredictions");
+    group.addCounter("return_mispredicts", &returnMispredicts,
+                     "return address mispredictions");
 }
 
 } // namespace ipref

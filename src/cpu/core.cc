@@ -457,13 +457,17 @@ OoOCore::fetchStage(Cycle now)
 void
 OoOCore::registerStats(StatGroup &group)
 {
-    group.addCounter("committed", &committed_);
-    group.addCounter("fetched", &fetchedInstrs);
-    group.addCounter("fetch_stall_cycles", &fetchStallCycles);
-    group.addCounter("branch_stall_cycles", &branchStallCycles);
-    group.addCounter("rob_full_cycles", &robFullCycles);
-    group.addCounter("loads", &loadsIssued);
-    group.addCounter("stores", &storesIssued);
+    group.addCounter("committed", &committed_,
+                     "instructions committed");
+    group.addCounter("fetched", &fetchedInstrs, "instructions fetched");
+    group.addCounter("fetch_stall_cycles", &fetchStallCycles,
+                     "cycles fetch waited on a fill");
+    group.addCounter("branch_stall_cycles", &branchStallCycles,
+                     "cycles fetch was blocked on a branch");
+    group.addCounter("rob_full_cycles", &robFullCycles,
+                     "cycles the reorder buffer was full");
+    group.addCounter("loads", &loadsIssued, "loads issued");
+    group.addCounter("stores", &storesIssued, "stores issued");
     ledger_.registerStats(group);
     bp_.registerStats(group);
 }

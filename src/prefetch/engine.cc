@@ -269,17 +269,27 @@ PrefetchEngine::lifecycle() const
 void
 PrefetchEngine::registerStats(StatGroup &group)
 {
-    group.addCounter("candidates", &candidates);
-    group.addCounter("filtered_recent", &filteredRecent);
-    group.addCounter("tag_probes", &tagProbes);
-    group.addCounter("tag_probe_hits", &tagProbeHits);
-    group.addCounter("issued", &issued);
-    group.addCounter("issued_offchip", &issuedOffChip);
-    group.addCounter("dropped_inflight", &droppedInFlight);
-    group.addCounter("confidence_suppressed", &confidenceSuppressed);
-    group.addCounter("useful", &usefulPrefetches);
-    group.addCounter("late", &latePrefetches);
-    group.addCounter("useless", &uselessPrefetches);
+    group.addCounter("candidates", &candidates,
+                     "candidates produced by the prefetcher");
+    group.addCounter("filtered_recent", &filteredRecent,
+                     "candidates dropped by the recent-fetch filter");
+    group.addCounter("tag_probes", &tagProbes,
+                     "L1I tag-port probes performed");
+    group.addCounter("tag_probe_hits", &tagProbeHits,
+                     "probes that found the line resident");
+    group.addCounter("issued", &issued, "prefetch fills started");
+    group.addCounter("issued_offchip", &issuedOffChip,
+                     "issued prefetches that went to memory");
+    group.addCounter("dropped_inflight", &droppedInFlight,
+                     "candidates whose fill was already in flight");
+    group.addCounter("confidence_suppressed", &confidenceSuppressed,
+                     "candidates gated by the confidence filter");
+    group.addCounter("useful", &usefulPrefetches,
+                     "prefetched lines hit by a demand fetch");
+    group.addCounter("late", &latePrefetches,
+                     "useful prefetches merged while in flight");
+    group.addCounter("useless", &uselessPrefetches,
+                     "prefetched lines evicted without use");
     group.addCounter("uncredited_useful", &uncreditedUseful,
                      "evicted used without an observed use");
     group.addCounter("replaced_inflight", &replacedInFlight,
@@ -293,10 +303,16 @@ PrefetchEngine::registerStats(StatGroup &group)
          ++i) {
         std::string origin =
             originName(static_cast<PrefetchOrigin>(i));
-        group.addCounter("issued_by." + origin, &issuedByOrigin[i]);
-        group.addCounter("useful_by." + origin, &usefulByOrigin[i]);
+        group.addCounter("issued_by." + origin, &issuedByOrigin[i],
+                         "prefetches issued from the " + origin +
+                             " origin");
+        group.addCounter("useful_by." + origin, &usefulByOrigin[i],
+                         "useful prefetches from the " + origin +
+                             " origin");
         group.addCounter("partial_stall_by." + origin,
-                         &partialStallByOrigin[i]);
+                         &partialStallByOrigin[i],
+                         "late prefetches from the " + origin +
+                             " origin that still stalled fetch");
     }
     group.addFormula("accuracy", [this] { return accuracy(); },
                      "useful / issued");
@@ -312,12 +328,18 @@ PrefetchEngine::registerStats(StatGroup &group)
     group.addHistogram("partial_stall_exposed_cycles",
                        &partialExposed_,
                        "exposed stall cycles per late prefetch");
-    group.addCounter("queue_pushes", &queue_.pushes);
-    group.addCounter("queue_hoists", &queue_.hoists);
-    group.addCounter("queue_dup_drops", &queue_.duplicateDrops);
-    group.addCounter("queue_overflow_drops", &queue_.overflowDrops);
+    group.addCounter("queue_pushes", &queue_.pushes,
+                     "candidates pushed into the prefetch queue");
+    group.addCounter("queue_hoists", &queue_.hoists,
+                     "waiting duplicates moved to the queue head");
+    group.addCounter("queue_dup_drops", &queue_.duplicateDrops,
+                     "pushes dropped as duplicates of issued or "
+                     "invalidated entries");
+    group.addCounter("queue_overflow_drops", &queue_.overflowDrops,
+                     "waiting prefetches lost to queue overflow");
     group.addCounter("queue_demand_invalidations",
-                     &queue_.demandInvalidations);
+                     &queue_.demandInvalidations,
+                     "queued prefetches cancelled by a demand fetch");
     group.addFormula("queue_waiting_high_water",
                      [this] {
                          return static_cast<double>(

@@ -36,7 +36,9 @@ knobTypeName(KnobType t)
 bool
 parseUintText(const std::string &text, std::uint64_t &out)
 {
-    if (text.empty())
+    // strtoull would also take a sign, wrapping "-1" to 2^64 - 1, and
+    // leading blanks: a value must start with a digit.
+    if (text.empty() || text[0] < '0' || text[0] > '9')
         return false;
     char *end = nullptr;
     errno = 0;
@@ -243,7 +245,12 @@ KnobValues::fromCanonical(const std::string &text)
                 ipref_raise(ConfigError,
                             "scheme knobs: '%s' is not knob=value",
                             item.c_str());
-            kv.set(item.substr(0, eq), item.substr(eq + 1));
+            const std::string name = item.substr(0, eq);
+            if (kv.has(name))
+                ipref_raise(ConfigError,
+                            "scheme knobs: knob '%s' given twice",
+                            name.c_str());
+            kv.set(name, item.substr(eq + 1));
         }
         item.clear();
     }

@@ -85,11 +85,14 @@ decodeFile(const std::string &path, const FileFingerprint &fp)
     auto reader = openTraceReader(path, TraceReadMode::Tolerant);
     out->version = reader->version();
     out->headerCount = reader->count();
-    out->records.reserve(
-        static_cast<std::size_t>(reader->count()));
-    std::size_t chunk = 8192;
+    // Readers deliver at most the header's count, so chunks clamped to
+    // what remains of it fill the reservation without outgrowing it.
+    const auto promised = static_cast<std::size_t>(reader->count());
+    out->records.reserve(promised);
     std::size_t used = 0;
-    for (;;) {
+    while (used < promised) {
+        const std::size_t chunk =
+            std::min<std::size_t>(8192, promised - used);
         out->records.resize(used + chunk);
         std::size_t got = reader->nextBatch(
             std::span<InstrRecord>(out->records.data() + used, chunk));

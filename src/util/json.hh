@@ -10,14 +10,17 @@
 #ifndef IPREF_UTIL_JSON_HH
 #define IPREF_UTIL_JSON_HH
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "util/error.hh"
 
 namespace ipref
 {
@@ -105,13 +108,13 @@ struct JsonValue
 
     bool has(const std::string &key) const { return fields.count(key); }
 
-    /** Object member access; throws std::runtime_error if absent. */
+    /** Object member access; throws ConfigError if absent. */
     const JsonValue &
     at(const std::string &key) const
     {
         auto it = fields.find(key);
         if (it == fields.end())
-            throw std::runtime_error("JSON: missing key: " + key);
+            throw ConfigError("JSON: missing key: " + key);
         return it->second;
     }
 
@@ -138,17 +141,32 @@ struct JsonValue
     /**
      * This value as a uint64: plain numbers round-trip below 2^53;
      * "0x..." strings (the writers' address encoding) parse exactly.
+     * Anything no uint64 holds (negative, >= 2^64, bad hex) throws
+     * ConfigError.
      */
     std::uint64_t
     asUint() const
     {
-        if (kind == Number)
+        if (kind == Number) {
+            if (!(number >= 0.0 && number < 0x1.0p64))
+                throw ConfigError("JSON: not a uint: " +
+                                  jsonNumber(number));
             return static_cast<std::uint64_t>(number);
-        if (kind == String && str.rfind("0x", 0) == 0)
-            return std::stoull(str.substr(2), nullptr, 16);
-        throw std::runtime_error("JSON: not a uint: " + str);
+        }
+        if (kind == String && str.size() > 2 && str.rfind("0x", 0) == 0) {
+            std::uint64_t v = 0;
+            const char *end = str.data() + str.size();
+            auto [stop, ec] = std::from_chars(str.data() + 2, end, v, 16);
+            if (ec == std::errc{} && stop == end)
+                return v;
+        }
+        throw ConfigError("JSON: not a uint: " + str);
     }
 };
+
+/** Deepest array/object nesting parseJson() accepts: deeper input is
+ *  refused rather than allowed to exhaust the parser's stack. */
+inline constexpr unsigned kJsonMaxDepth = 256;
 
 namespace detail
 {
@@ -173,9 +191,25 @@ class JsonParser
     [[noreturn]] void
     fail(const std::string &what) const
     {
-        throw std::runtime_error("JSON error at offset " +
-                                 std::to_string(pos_) + ": " + what);
+        throw ConfigError("JSON error at offset " +
+                          std::to_string(pos_) + ": " + what);
     }
+
+    /** One array/object level, refused beyond kJsonMaxDepth. */
+    struct Nest
+    {
+        explicit Nest(JsonParser &p) : p_(p)
+        {
+            if (++p_.depth_ > kJsonMaxDepth)
+                p_.fail("nested deeper than " +
+                        std::to_string(kJsonMaxDepth));
+        }
+        ~Nest() { --p_.depth_; }
+        Nest(const Nest &) = delete;
+        Nest &operator=(const Nest &) = delete;
+
+        JsonParser &p_;
+    };
 
     void
     skipWs()
@@ -244,6 +278,7 @@ class JsonParser
     JsonValue
     object()
     {
+        Nest nest(*this);
         JsonValue v;
         v.kind = JsonValue::Object;
         expect('{');
@@ -267,6 +302,7 @@ class JsonParser
     JsonValue
     array()
     {
+        Nest nest(*this);
         JsonValue v;
         v.kind = JsonValue::Array;
         expect('[');
@@ -350,32 +386,64 @@ class JsonParser
         return v;
     }
 
+    /** Skip a run of decimal digits; @return how many. */
+    std::size_t
+    digits()
+    {
+        const std::size_t from = pos_;
+        while (pos_ < n_ && s_[pos_] >= '0' && s_[pos_] <= '9')
+            ++pos_;
+        return pos_ - from;
+    }
+
+    bool
+    accept(char c)
+    {
+        if (pos_ < n_ && s_[pos_] == c) {
+            ++pos_;
+            return true;
+        }
+        return false;
+    }
+
+    /** A whole JSON number token,
+     *  -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?, that is finite
+     *  as a double: a token that merely starts like a number (1.2.3,
+     *  -, 1e) or overflows (1e99999) is refused. */
     JsonValue
     number()
     {
         skipWs();
-        std::size_t start = pos_;
-        while (pos_ < n_ &&
-               ((s_[pos_] >= '0' && s_[pos_] <= '9') ||
-                s_[pos_] == '-' || s_[pos_] == '+' || s_[pos_] == '.' ||
-                s_[pos_] == 'e' || s_[pos_] == 'E'))
-            ++pos_;
-        if (start == pos_)
+        const std::size_t start = pos_;
+        accept('-');
+        if (!accept('0') && digits() == 0)
             fail("bad number");
+        if (accept('.') && digits() == 0)
+            fail("bad number");
+        if (accept('e') || accept('E')) {
+            if (!accept('+'))
+                accept('-');
+            if (digits() == 0)
+                fail("bad number");
+        }
+        const std::string token(s_ + start, pos_ - start);
         JsonValue v;
         v.kind = JsonValue::Number;
-        v.number = std::stod(std::string(s_ + start, pos_ - start));
+        v.number = std::strtod(token.c_str(), nullptr);
+        if (!std::isfinite(v.number))
+            fail("number out of range: " + token);
         return v;
     }
 
     const char *s_;
     std::size_t n_;
     std::size_t pos_ = 0;
+    unsigned depth_ = 0;
 };
 
 } // namespace detail
 
-/** Parse one complete JSON document; throws std::runtime_error. */
+/** Parse one complete JSON document; throws ConfigError. */
 inline JsonValue
 parseJson(const std::string &text)
 {

@@ -57,26 +57,44 @@ ZipfSampler::ZipfSampler(std::size_t n, double alpha)
 std::size_t
 ZipfSampler::rankOf(double u) const
 {
-    const std::vector<double> &cdf = table_->cdf;
-    const std::size_t k = static_cast<std::size_t>(
-        u * static_cast<double>(kGuideBuckets));
-    if (k < kGuideBuckets) {
-        // [lo, hi) holds the answer exactly when everything before lo
-        // is < u and the entry at hi - 1 is >= u; lower_bound over
-        // that range then returns the full search's index.
-        const std::size_t lo = table_->guide[k];
-        const std::size_t hi =
-            std::min<std::size_t>(table_->guide[k + 1] + 1, cdf.size());
-        if ((lo == 0 || cdf[lo - 1] < u) && cdf[hi - 1] >= u)
-            return static_cast<std::size_t>(
-                std::lower_bound(cdf.begin() + lo, cdf.begin() + hi,
-                                 u) -
-                cdf.begin());
+    // With k = floor(u * G), exact for a power-of-two G, every entry
+    // before guide[k] is < k/G <= u and the entry at guide[k + 1] is
+    // >= (k+1)/G > u: the answer is in [lo, hi] = [guide[k],
+    // guide[k + 1]], and cdf[hi] >= u.
+    const double scaled = u * static_cast<double>(kGuideBuckets);
+    const auto k = static_cast<std::size_t>(scaled);
+    ipref_assert(u >= 0.0 && k < kGuideBuckets);
+    std::size_t lo = table_->guide[k];
+    std::size_t hi = table_->guide[k + 1];
+    if (lo == hi)
+        return lo;
+    // Probe where u sits inside its slice, then gallop from the probe
+    // towards the answer, narrowing [lo, hi] (exact for any probe in
+    // it), and binary-search what is left.
+    const double *cdf = table_->cdf.data();
+    const std::size_t probe =
+        lo + static_cast<std::size_t>((scaled - static_cast<double>(k)) *
+                                      static_cast<double>(hi - lo));
+    std::size_t step = 1;
+    if (cdf[probe] < u) {
+        lo = probe + 1;
+        while (step <= hi - lo && cdf[lo + step - 1] < u) {
+            lo += step;
+            step *= 2;
+        }
+        if (step <= hi - lo)
+            hi = lo + step - 1;
+    } else {
+        hi = probe;
+        while (step <= hi - lo && cdf[hi - step] >= u) {
+            hi -= step;
+            step *= 2;
+        }
+        if (step <= hi - lo)
+            lo = hi - step + 1;
     }
-    auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
-    if (it == cdf.end())
-        --it;
-    return static_cast<std::size_t>(it - cdf.begin());
+    return static_cast<std::size_t>(
+        std::lower_bound(cdf + lo, cdf + hi, u) - cdf);
 }
 
 } // namespace ipref

@@ -120,6 +120,32 @@ class Rng
         return uniform() < p;
     }
 
+    /**
+     * Integer form of chance(@p p): `(next() >> 11) < t` holds exactly
+     * when `uniform() < p` would. uniform() is m * 2^-53 for the
+     * integer m = next() >> 11, and p * 2^53 scales by a power of two
+     * without rounding, so m * 2^-53 < p iff m < ceil(p * 2^53).
+     * NaN and p <= 0 give 0 (never); p >= 1 gives 2^53 (always).
+     */
+    static constexpr std::uint64_t
+    chanceThreshold(double p)
+    {
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return std::uint64_t{1} << 53;
+        const double t = p * 0x1.0p53;
+        const auto whole = static_cast<std::uint64_t>(t);
+        return whole + (static_cast<double>(whole) < t ? 1 : 0);
+    }
+
+    /** Bernoulli trial against a chanceThreshold() value. */
+    bool
+    chanceBelow(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
     /** Geometric draw: number of failures before first success. */
     std::uint64_t
     geometric(double p)
@@ -146,15 +172,16 @@ class Rng
 /**
  * Precomputed Zipf(alpha) sampler over {0, ..., n-1}.
  *
- * Uses an inverse-CDF table; construction is O(n), sampling is a
- * guide-table lookup that narrows the binary search to the few CDF
- * entries of the draw's 1/kGuideBuckets slice of [0, 1), falling
- * back to the full search whenever the slice bounds do not bracket
- * the draw, so every draw returns exactly std::lower_bound's index.
- * The tables are immutable, shared per (n, alpha) and kept for the
- * life of the process: samplers of equal shape (every core's walker
- * of one preset, and every later System built from it) build the
- * CDF once. Rank 0 is the most popular item.
+ * Uses an inverse-CDF table; construction is O(n). Sampling returns
+ * exactly std::lower_bound's index of the draw in the CDF: a guide
+ * table brackets the answer to the entries of the draw's
+ * 1/kGuideBuckets slice of [0, 1), and the search probes that bracket
+ * first where the draw sits inside the slice. In the flat tail
+ * (brackets of up to 16k entries) that lands a cache line or two from
+ * the answer. The tables are immutable, shared per (n, alpha) and kept
+ * for the life of the process: samplers of equal shape (every core's
+ * walker of one preset, and every later System built from it) build
+ * the CDF once. Rank 0 is the most popular item.
  */
 class ZipfSampler
 {
@@ -168,8 +195,8 @@ class ZipfSampler
     /** Draw a rank in [0, n). */
     std::size_t sample(Rng &rng) const { return rankOf(rng.uniform()); }
 
-    /** Rank for the uniform draw @p u: the first CDF entry >= u
-     *  (the last rank when none is). */
+    /** Rank for the uniform draw @p u in [0, 1): the first CDF entry
+     *  >= u. */
     std::size_t rankOf(double u) const;
 
     /** Number of items. */

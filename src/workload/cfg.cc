@@ -49,10 +49,15 @@ drawInstr(const WorkloadConfig &cfg, Rng &rng)
 ProgramCfg::ProgramCfg(const WorkloadConfig &cfg) : cfg_(cfg)
 {
     ipref_assert(cfg_.callLayers >= 2);
+    // Every block holds at least its terminator slot; the walker
+    // relies on it.
+    ipref_assert(cfg_.minBlockInstrs >= 1 && cfg_.maxBlockInstrs >= 1);
     Rng rng(cfg_.layoutSeed ^ hashString("cfg-layout"));
     buildFunctions(rng);
     assignTargets(rng);
     layoutCode();
+    for (BasicBlock &bb : blocks_)
+        bb.takenBelow = Rng::chanceThreshold(bb.takenProb);
 }
 
 void

@@ -41,15 +41,18 @@ enum class TermKind : std::uint8_t
 struct BasicBlock
 {
     Addr startPc = 0;
-    std::uint16_t numInstrs = 0;   //!< includes the terminator slot
-    TermKind term = TermKind::FallThrough;
+    /** CondBranch: Rng::chanceThreshold(takenProb), the walker's exact
+     *  integer form of `uniform() < takenProb`. */
+    std::uint64_t takenBelow = 0;
     std::uint32_t targetBlock = 0; //!< global block index (branches)
     std::uint32_t targetFunc = 0;  //!< callee (Call)
     std::uint32_t indirectSet = 0; //!< index into indirect target sets
-    float takenProb = 0.0f;        //!< CondBranch: P(taken)
-    bool isBackEdge = false;       //!< CondBranch: loop back-edge?
-    bool isTailCall = false;       //!< UncondBranch to targetFunc
     std::uint32_t instrBase = 0;   //!< index into ProgramCfg::instrs
+    float takenProb = 0.0f;        //!< CondBranch: P(taken)
+    std::uint16_t numInstrs = 0;   //!< includes the terminator slot
+    TermKind term = TermKind::FallThrough;
+    bool isBackEdge : 1 = false;   //!< CondBranch: loop back-edge?
+    bool isTailCall : 1 = false;   //!< UncondBranch to targetFunc
 
     /** Address of the block's terminator (last instruction). */
     Addr
@@ -65,6 +68,7 @@ struct BasicBlock
         return startPc + static_cast<Addr>(numInstrs) * instrBytes;
     }
 };
+static_assert(sizeof(BasicBlock) == 40, "one block per 40 bytes");
 
 /** Static (non-CTI) instruction description. */
 struct StaticInstr

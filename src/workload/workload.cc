@@ -20,11 +20,28 @@ Workload::Workload(std::shared_ptr<const ProgramCfg> prog,
 {
     const WorkloadConfig &cfg = prog_->config();
     coldWrap_ = std::max<std::uint64_t>(64, cfg.coldDataBytes);
+    frameBytes_ = cfg.stackFrameBytes;
+    warmLines_ = cfg.warmDataBytes / 64;
     hotBase_ = cfg.dataBase + dataOffset_;
     warmBase_ = hotBase_ + alignUp(cfg.hotDataBytes, 1u << 20);
     coldBase_ = warmBase_ + alignUp(cfg.warmDataBytes, 1u << 20);
     stackBase_ = coldBase_ + alignUp(cfg.coldDataBytes, 1u << 20) +
                  (16u << 20);
+
+    // Every probability test of the walk as an exact integer compare
+    // (Rng::chanceThreshold), fixed here once.
+    if (!prog_->trapFuncs().empty()) {
+        if (cfg.contextSwitchPeriod > 0 && cfg.concurrentContexts > 1)
+            switchBelow_ =
+                Rng::chanceThreshold(1.0 / cfg.contextSwitchPeriod);
+        trapBelow_ = Rng::chanceThreshold(cfg.trapProbability);
+    }
+    stackBelow_ = Rng::chanceThreshold(cfg.stackAccessFraction);
+    hotBelow_ = Rng::chanceThreshold(cfg.hotAccessFraction);
+    if (cfg.warmDataBytes >= 64)
+        warmBelow_ = Rng::chanceThreshold(cfg.hotAccessFraction +
+                                          cfg.warmAccessFraction);
+
     loopTaken_.assign(prog_->blocks().size(), 0);
     reset();
 }
@@ -49,9 +66,6 @@ Workload::reset()
         ctx.curBlock = prog_->functions()[0].firstBlock;
         ctx.instrIdx = 0;
     }
-    switchProb_ = cfg.contextSwitchPeriod > 0 && k > 1
-                      ? 1.0 / cfg.contextSwitchPeriod
-                      : 0.0;
 }
 
 Addr
@@ -61,58 +75,135 @@ Workload::addrOf(std::uint32_t gb, unsigned idx) const
     return bb.startPc + static_cast<Addr>(idx) * instrBytes;
 }
 
-Addr
-Workload::genDataAddr()
+inline Workload::Async
+Workload::drawAsync(Rng &rng, std::uint64_t switchBelow,
+                    std::uint64_t trapBelow)
 {
-    const WorkloadConfig &cfg = prog_->config();
-    double u = rng_.uniform();
-    if (u < cfg.stackAccessFraction) {
-        // Per-context stacks, 64 KB apart.
-        std::uint64_t depth = contexts_[active_].stack.size() + 1;
-        Addr base = stackBase_ + (static_cast<Addr>(active_) << 16);
-        Addr frame_top = base - depth * cfg.stackFrameBytes;
-        return alignDown(frame_top + rng_.below(cfg.stackFrameBytes),
-                         4);
+    // Asynchronous events, taken "at" the address of the instruction
+    // about to execute: timer-interrupt context switches and plain
+    // traps. Both run a trap-handler function; the handler's return
+    // resumes either the next context (switch) or the same one.
+    if (switchBelow != 0 && rng.chanceBelow(switchBelow))
+        return Async::Switch;
+    if (trapBelow != 0 && rng.chanceBelow(trapBelow))
+        return Async::Trap;
+    return Async::None;
+}
+
+inline Addr
+Workload::genDataAddr(Rng &rng, std::uint64_t &coldCursor,
+                      Addr frameTop) const
+{
+    if (rng.chanceBelow(stackBelow_)) // per-context stack frame
+        return alignDown(frameTop + rng.below(frameBytes_), 4);
+    const std::uint64_t v = rng.next() >> 11;
+    if (v < hotBelow_) {
+        std::uint64_t line = hotZipf_.sample(rng);
+        return hotBase_ + line * 64 + (rng.below(16) * 4);
     }
-    double v = rng_.uniform();
-    if (v < cfg.hotAccessFraction) {
-        std::uint64_t line = hotZipf_.sample(rng_);
-        return hotBase_ + line * 64 + (rng_.below(16) * 4);
-    }
-    if (v < cfg.hotAccessFraction + cfg.warmAccessFraction &&
-        cfg.warmDataBytes >= 64) {
-        std::uint64_t line = rng_.below(cfg.warmDataBytes / 64);
-        return warmBase_ + line * 64 + (rng_.below(16) * 4);
+    if (v < warmBelow_) {
+        std::uint64_t line = rng.below(warmLines_);
+        return warmBase_ + line * 64 + (rng.below(16) * 4);
     }
     // Cold/streaming: walk through the region at word granularity
     // (a scan touches each line ~16 times before moving on). The
     // cursor stays below coldWrap_ and advances by 4 <= coldWrap_, so
     // a single conditional subtract equals the modulo it replaces.
-    coldCursor_ += 4;
-    if (coldCursor_ >= coldWrap_)
-        coldCursor_ -= coldWrap_;
-    return coldBase_ + alignDown(coldCursor_, 4);
+    coldCursor += 4;
+    if (coldCursor >= coldWrap_)
+        coldCursor -= coldWrap_;
+    return coldBase_ + alignDown(coldCursor, 4);
 }
 
-void
-Workload::emitStatic(const BasicBlock &bb, InstrRecord &out)
+inline InstrRecord *
+Workload::emitRun(const BasicBlock &bb, unsigned &idx, unsigned stop,
+                  bool handler, InstrRecord *o, InstrRecord *end,
+                  Async &event)
 {
-    unsigned idx = inTrap_ ? trapInstr_ : contexts_[active_].instrIdx;
-    const StaticInstr &si = prog_->instrs()[bb.instrBase + idx];
-    out.pc = bb.startPc + static_cast<Addr>(idx) * instrBytes;
-    out.op = si.op;
-    out.taken = false;
-    out.target = 0;
-    out.srcReg[0] = si.src0;
-    out.srcReg[1] = si.src1;
-    out.dstReg = si.dst;
-    out.dataAddr = si.op == OpClass::Load || si.op == OpClass::Store
-                       ? genDataAddr()
-                       : 0;
+    // The walk state lives in locals for the run: a store into a
+    // record may alias a member, so members would be reloaded (and
+    // the RNG state re-stored) after every record.
+    Rng rng = rng_;
+    std::uint64_t cold = coldCursor_;
+    const std::uint64_t switchBelow = handler ? 0 : switchBelow_;
+    const std::uint64_t trapBelow = handler ? 0 : trapBelow_;
+    const StaticInstr *const slots =
+        prog_->instrs().data() + bb.instrBase;
+    // Stack accesses use the running context's frame (the interrupted
+    // one's in a handler); its depth is fixed within a block.
+    const Addr frameTop =
+        stackBase_ + (static_cast<Addr>(active_) << 16) -
+        (contexts_[active_].stack.size() + 1) * frameBytes_;
+
+    unsigned i = idx;
+    const unsigned last = static_cast<unsigned>(std::min<std::size_t>(
+        stop, i + static_cast<std::size_t>(end - o)));
+    Addr pc = bb.startPc + static_cast<Addr>(i) * instrBytes;
+    for (; i < last; ++i, ++o, pc += instrBytes) {
+        event = drawAsync(rng, switchBelow, trapBelow);
+        if (event != Async::None)
+            break;
+        const StaticInstr s = slots[i];
+        const bool mem = s.op == OpClass::Load || s.op == OpClass::Store;
+        *o = InstrRecord{pc,
+                         0,
+                         mem ? genDataAddr(rng, cold, frameTop) : 0,
+                         s.op,
+                         false,
+                         {s.src0, s.src1},
+                         s.dst};
+    }
+    rng_ = rng;
+    coldCursor_ = cold;
+    idx = i;
+    return o;
+}
+
+std::size_t
+Workload::nextBatch(std::span<InstrRecord> out)
+{
+    const BasicBlock *const blocks = prog_->blocks().data();
+    InstrRecord *o = out.data();
+    InstrRecord *const end = o + out.size();
+    while (o != end) {
+        // The walk is in the running context's block or, after a trap
+        // or switch, in the (leaf) handler's; handlers draw no
+        // asynchronous events.
+        const bool handler = inTrap_;
+        Context &ctx = contexts_[active_];
+        std::uint32_t &blk = handler ? trapBlock_ : ctx.curBlock;
+        unsigned &idx = handler ? trapInstr_ : ctx.instrIdx;
+        const BasicBlock &bb = blocks[blk];
+        const bool fallThrough = bb.term == TermKind::FallThrough;
+        const unsigned stop = bb.numInstrs - (fallThrough ? 0u : 1u);
+
+        Async event = Async::None;
+        if (idx < stop)
+            o = emitRun(bb, idx, stop, handler, o, end, event);
+        if (event == Async::None && idx == stop) {
+            if (fallThrough) {
+                ++blk; // blocks are contiguous
+                idx = 0;
+                continue;
+            }
+            if (o == end)
+                break;
+            if (!handler)
+                event = drawAsync(rng_, switchBelow_, trapBelow_);
+            if (event == Async::None) {
+                emitTerminator(bb, blk, idx, handler, *o++);
+                continue;
+            }
+        }
+        if (event != Async::None)
+            takeTrap(*o++, event);
+    }
+    emitted_ += out.size();
+    return out.size();
 }
 
 void
-Workload::takeTrap(InstrRecord &out, std::size_t resumeCtx)
+Workload::takeTrap(InstrRecord &out, Async event)
 {
     const auto &funcs = prog_->functions();
     std::uint32_t h =
@@ -126,140 +217,38 @@ Workload::takeTrap(InstrRecord &out, std::size_t resumeCtx)
     inTrap_ = true;
     trapBlock_ = funcs[h].firstBlock;
     trapInstr_ = 0;
-    trapResumeCtx_ = resumeCtx;
+    trapResumeCtx_ = active_;
+    if (event == Async::Switch) {
+        ++switches_;
+        trapResumeCtx_ = (active_ + 1) % contexts_.size();
+    }
 }
 
-bool
-Workload::next(InstrRecord &out)
+void
+Workload::emitTerminator(const BasicBlock &bb, std::uint32_t &blk,
+                         unsigned &idx, bool handler, InstrRecord &out)
 {
     const auto &blocks = prog_->blocks();
     const auto &funcs = prog_->functions();
-    const WorkloadConfig &cfg = prog_->config();
-
-    // Asynchronous events, taken "at" the address of the instruction
-    // about to execute: timer-interrupt context switches and plain
-    // traps. Both run a trap-handler function; the handler's return
-    // resumes either the next context (switch) or the same one.
-    if (!inTrap_ && !prog_->trapFuncs().empty()) {
-        if (switchProb_ > 0 && rng_.chance(switchProb_)) {
-            ++switches_;
-            takeTrap(out, (active_ + 1) % contexts_.size());
-            ++emitted_;
-            return true;
-        }
-        if (cfg.trapProbability > 0 &&
-            rng_.chance(cfg.trapProbability)) {
-            takeTrap(out, active_);
-            ++emitted_;
-            return true;
-        }
-    }
-
-    if (inTrap_) {
-        // Execute the (leaf) trap handler.
-        const BasicBlock &bb = blocks[trapBlock_];
-        bool is_term = trapInstr_ + 1u >= bb.numInstrs;
-        if (!is_term || bb.term == TermKind::FallThrough) {
-            emitStatic(bb, out);
-            if (++trapInstr_ >= bb.numInstrs) {
-                ++trapBlock_;
-                trapInstr_ = 0;
-            }
-            ++emitted_;
-            return true;
-        }
-        const StaticInstr &si = prog_->instrs()[bb.instrBase +
-                                                trapInstr_];
-        out = InstrRecord{};
-        out.pc = bb.termPc();
-        out.srcReg[0] = si.src0;
-        out.srcReg[1] = si.src1;
-        switch (bb.term) {
-          case TermKind::CondBranch: {
-            out.op = OpClass::CondBranch;
-            out.target = blocks[bb.targetBlock].startPc;
-            bool taken = rng_.chance(bb.takenProb);
-            if (bb.isBackEdge) {
-                std::uint8_t &cnt = loopTaken_[trapBlock_];
-                if (taken) {
-                    if (++cnt >= maxConsecutiveTrips) {
-                        taken = false;
-                        cnt = 0;
-                    }
-                } else {
-                    cnt = 0;
-                }
-            }
-            out.taken = taken;
-            if (taken) {
-                trapBlock_ = bb.targetBlock;
-            } else {
-                ++trapBlock_;
-            }
-            trapInstr_ = 0;
-            break;
-          }
-          case TermKind::UncondBranch:
-            out.op = OpClass::UncondBranch;
-            out.taken = true;
-            out.target = blocks[bb.targetBlock].startPc;
-            trapBlock_ = bb.targetBlock;
-            trapInstr_ = 0;
-            break;
-          case TermKind::Return: {
-            // End of handler: resume the chosen context.
-            out.op = OpClass::Return;
-            out.taken = true;
-            out.srcReg[0] = 31;
-            inTrap_ = false;
-            active_ = trapResumeCtx_;
-            const Context &ctx = contexts_[active_];
-            out.target = addrOf(ctx.curBlock, ctx.instrIdx);
-            break;
-          }
-          default:
-            ipref_panic("trap handlers are leaf functions");
-        }
-        ++emitted_;
-        return true;
-    }
-
-    Context &ctx = contexts_[active_];
-    const BasicBlock &bb = blocks[ctx.curBlock];
-    bool is_term = ctx.instrIdx + 1u >= bb.numInstrs;
-
-    if (!is_term || bb.term == TermKind::FallThrough) {
-        emitStatic(bb, out);
-        ++ctx.instrIdx;
-        if (ctx.instrIdx >= bb.numInstrs) {
-            ++ctx.curBlock; // blocks are contiguous
-            ctx.instrIdx = 0;
-        }
-        ++emitted_;
-        return true;
-    }
-
-    // Terminator CTI.
-    const StaticInstr &si = prog_->instrs()[bb.instrBase +
-                                            ctx.instrIdx];
+    const StaticInstr &si = prog_->instrs()[bb.instrBase + idx];
     out = InstrRecord{};
     out.pc = bb.termPc();
     out.srcReg[0] = si.src0;
     out.srcReg[1] = si.src1;
-    out.dstReg = 0;
+    out.taken = true;
+    idx = 0;
 
-    auto goto_block = [&](std::uint32_t gb) {
-        ctx.curBlock = gb;
-        ctx.instrIdx = 0;
-    };
-
+    if (handler && (bb.term == TermKind::Call ||
+                    bb.term == TermKind::IndirectCall))
+        ipref_panic("trap handlers are leaf functions");
+    Context &ctx = contexts_[active_];
     switch (bb.term) {
       case TermKind::CondBranch: {
         out.op = OpClass::CondBranch;
         out.target = blocks[bb.targetBlock].startPc;
-        bool taken = rng_.chance(bb.takenProb);
+        bool taken = rng_.chanceBelow(bb.takenBelow);
         if (bb.isBackEdge) {
-            std::uint8_t &cnt = loopTaken_[ctx.curBlock];
+            std::uint8_t &cnt = loopTaken_[blk];
             if (taken) {
                 if (++cnt >= maxConsecutiveTrips) {
                     taken = false;
@@ -270,36 +259,31 @@ Workload::next(InstrRecord &out)
             }
         }
         out.taken = taken;
-        if (taken)
-            goto_block(bb.targetBlock);
-        else
-            goto_block(ctx.curBlock + 1);
+        blk = taken ? bb.targetBlock : blk + 1;
         break;
       }
       case TermKind::UncondBranch:
         out.op = OpClass::UncondBranch;
-        out.taken = true;
         if (bb.isTailCall) {
             // Tail call: jump to the sibling's entry without pushing
-            // a frame; its return unwinds to our caller.
+            // a frame; its return unwinds to our caller. (Handlers
+            // have no tail calls.)
             out.target = funcs[bb.targetFunc].entry;
-            goto_block(funcs[bb.targetFunc].firstBlock);
+            blk = funcs[bb.targetFunc].firstBlock;
         } else {
             out.target = blocks[bb.targetBlock].startPc;
-            goto_block(bb.targetBlock);
+            blk = bb.targetBlock;
         }
         break;
       case TermKind::Call:
         out.op = OpClass::Call;
-        out.taken = true;
         out.target = funcs[bb.targetFunc].entry;
         out.dstReg = 31; // link register
-        ctx.stack.push_back({ctx.curBlock + 1, 0});
-        goto_block(funcs[bb.targetFunc].firstBlock);
+        ctx.stack.push_back({blk + 1, 0});
+        blk = funcs[bb.targetFunc].firstBlock;
         break;
       case TermKind::IndirectCall: {
         out.op = OpClass::Jump;
-        out.taken = true;
         const IndirectSet &iset =
             prog_->indirectSets()[bb.indirectSet];
         double u = rng_.uniform();
@@ -309,25 +293,32 @@ Workload::next(InstrRecord &out)
         std::uint32_t callee = iset.funcs[pick];
         out.target = funcs[callee].entry;
         out.dstReg = 31;
-        ctx.stack.push_back({ctx.curBlock + 1, 0});
-        goto_block(funcs[callee].firstBlock);
+        ctx.stack.push_back({blk + 1, 0});
+        blk = funcs[callee].firstBlock;
         break;
       }
       case TermKind::Return: {
         out.op = OpClass::Return;
-        out.taken = true;
         out.srcReg[0] = 31;
+        if (handler) {
+            // End of handler: resume the chosen context.
+            inTrap_ = false;
+            active_ = trapResumeCtx_;
+            const Context &resumed = contexts_[active_];
+            out.target = addrOf(resumed.curBlock, resumed.instrIdx);
+            break;
+        }
         if (ctx.stack.empty()) {
             // Should not happen (dispatcher loops), but recover.
             out.target = funcs[0].entry;
-            goto_block(funcs[0].firstBlock);
+            blk = funcs[0].firstBlock;
             break;
         }
         Frame f = ctx.stack.back();
         ctx.stack.pop_back();
         out.target = addrOf(f.retBlock, f.retInstr);
-        ctx.curBlock = f.retBlock;
-        ctx.instrIdx = f.retInstr;
+        blk = f.retBlock;
+        idx = f.retInstr;
         // Returning into the dispatcher completes a transaction.
         const Function &d = funcs[0];
         if (f.retBlock >= d.firstBlock &&
@@ -337,11 +328,8 @@ Workload::next(InstrRecord &out)
         break;
       }
       case TermKind::FallThrough:
-        ipref_panic("fall-through handled above");
+        ipref_panic("fall-through blocks have no terminator");
     }
-
-    ++emitted_;
-    return true;
 }
 
 } // namespace ipref

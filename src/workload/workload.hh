@@ -41,17 +41,19 @@ class Workload : public TraceSource
     Workload(std::shared_ptr<const ProgramCfg> prog,
              std::uint64_t walkSeed, Addr dataOffset = 0);
 
-    bool next(InstrRecord &out) override;
-
-    /** Bulk pull. The walk never ends, so this always fills @p out;
-     *  the qualified call devirtualizes the per-record step. */
-    std::size_t
-    nextBatch(std::span<InstrRecord> out) override
+    /** One record: a one-record batch through the same walk. */
+    bool
+    next(InstrRecord &out) override
     {
-        for (std::size_t i = 0; i < out.size(); ++i)
-            Workload::next(out[i]);
-        return out.size();
+        return Workload::nextBatch({&out, 1}) == 1;
     }
+
+    /**
+     * The walker. Emits the current block's remaining static slots in
+     * one inner loop, then its terminator, trap or context switch out
+     * of line. The walk never ends, so this always fills @p out.
+     */
+    std::size_t nextBatch(std::span<InstrRecord> out) override;
 
     void reset() override;
 
@@ -81,18 +83,47 @@ class Workload : public TraceSource
         unsigned instrIdx = 0;
     };
 
+    /** The asynchronous event drawn before a record, if any. */
+    enum class Async : std::uint8_t
+    {
+        None,
+        Switch, //!< timer interrupt that switches context
+        Trap,   //!< plain trap; the handler resumes the same context
+    };
+
     /** Address of instruction slot @p idx in block @p gb. */
     Addr addrOf(std::uint32_t gb, unsigned idx) const;
 
-    /** Fill a record from a static (non-CTI) instruction slot. */
-    void emitStatic(const BasicBlock &bb, InstrRecord &out);
+    /** Draw the two per-record asynchronous events in order (a zero
+     *  threshold draws nothing). */
+    static Async drawAsync(Rng &rng, std::uint64_t switchBelow,
+                           std::uint64_t trapBelow);
 
-    /** Generate a data effective address for a memory op. */
-    Addr genDataAddr();
+    /**
+     * Emit static slots [@p idx, @p stop) of @p bb into [@p o, @p end)
+     * with the RNG and cold cursor in locals, advancing @p idx. Stops
+     * early, with @p event set and the slot not emitted, when an
+     * asynchronous draw fires. @return one past the last record
+     * written.
+     */
+    InstrRecord *emitRun(const BasicBlock &bb, unsigned &idx,
+                         unsigned stop, bool handler, InstrRecord *o,
+                         InstrRecord *end, Async &event);
 
-    /** Enter a trap handler; on its return, resume context
-     *  @p resumeCtx (== active for plain interrupts). */
-    void takeTrap(InstrRecord &out, std::size_t resumeCtx);
+    /** Generate a data effective address for a memory op, with the
+     *  stack frame of the running context ending at @p frameTop. */
+    Addr genDataAddr(Rng &rng, std::uint64_t &coldCursor,
+                     Addr frameTop) const;
+
+    /** Emit the terminator of @p bb, the block at @p blk of the
+     *  running context or of the trap handler, and move to its
+     *  successor. */
+    void emitTerminator(const BasicBlock &bb, std::uint32_t &blk,
+                        unsigned &idx, bool handler, InstrRecord &out);
+
+    /** Enter a trap handler for @p event; the handler's return resumes
+     *  the next context (Switch) or the same one (Trap). */
+    void takeTrap(InstrRecord &out, Async event);
 
     std::shared_ptr<const ProgramCfg> prog_;
     std::uint64_t walkSeed_;
@@ -111,9 +142,18 @@ class Workload : public TraceSource
     /** Consecutive-taken counters for loop back-edges (safety cap). */
     std::vector<std::uint8_t> loopTaken_;
 
+    /** chanceThreshold()s of the per-record draws (0 = never). */
+    std::uint64_t switchBelow_ = 0;
+    std::uint64_t trapBelow_ = 0;
+    std::uint64_t stackBelow_ = 0;
+    std::uint64_t hotBelow_ = 0;
+    std::uint64_t warmBelow_ = 0; //!< hot + warm; 0 without a warm set
+
     ZipfSampler hotZipf_;
     std::uint64_t coldCursor_ = 0;
     std::uint64_t coldWrap_ = 64; //!< cold-region size (cursor modulus)
+    std::uint64_t frameBytes_ = 0;
+    std::uint64_t warmLines_ = 0;
 
     Addr hotBase_ = 0;
     Addr warmBase_ = 0;
@@ -123,8 +163,6 @@ class Workload : public TraceSource
     std::uint64_t transactions_ = 0;
     std::uint64_t emitted_ = 0;
     std::uint64_t switches_ = 0;
-
-    double switchProb_ = 0.0;
 
     /** Back-edge runaway cap (forces loop exit). */
     static constexpr std::uint8_t maxConsecutiveTrips = 96;

@@ -4,7 +4,8 @@
  * serial sum must equal N threads' worth of relaxed-atomic updates),
  * sampler reconciliation (the stream's final record carries final
  * instrument totals), the Prometheus text exposition golden format,
- * the JSON-lines round trip ipref_top depends on, and end-to-end
+ * the JSON-lines round trip ipref_top depends on, a HELP line for
+ * every instrument a campaign publishes, and end-to-end
  * reconciliation between the live counters and a run's reported
  * results and stats tree.
  */
@@ -18,6 +19,7 @@
 
 #include <map>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -233,6 +235,48 @@ TEST(MetricsSnapshot, RegistrySnapshotCarriesHelp)
     ASSERT_EQ(s.help.count("ipref_test_help_c"), 1u);
     EXPECT_EQ(s.help.at("ipref_test_help_c"), "counts things");
     EXPECT_EQ(s.help.count("ipref_test_help_g"), 0u);
+}
+
+// Every instrument a figure campaign publishes is described: in the
+// exposition of a fig11-shaped batch (timing runs without prefetch,
+// with discontinuity + L2 bypass and with a temporal scheme, on one
+// core and on the 4-core CMP), each `# TYPE` line follows its
+// `# HELP` line. Instruments of other tests (ipref_test_*) are
+// skipped.
+TEST(MetricsSnapshot, EveryCampaignInstrumentHasHelp)
+{
+    std::vector<RunSpec> specs;
+    for (bool cmp : {false, true}) {
+        for (const char *scheme : {"none", "discontinuity", "domino"}) {
+            RunSpec s;
+            s.cmp = cmp;
+            s.workloads = {WorkloadKind::WEB};
+            s.schemeToken = scheme;
+            s.bypassL2 = std::string(scheme) == "discontinuity";
+            s.instrScale = 0.01;
+            specs.push_back(s);
+        }
+    }
+    runSpecs(specs, 2);
+
+    const std::string text = renderPrometheus(registry().snapshot());
+    std::istringstream lines(text);
+    std::string line, prev;
+    int described = 0;
+    while (std::getline(lines, line)) {
+        if (line.rfind("# TYPE ", 0) == 0) {
+            const std::string name =
+                line.substr(7, line.find(' ', 7) - 7);
+            if (name.rfind("ipref_test_", 0) != 0) {
+                EXPECT_EQ(prev.rfind("# HELP " + name + " ", 0), 0u)
+                    << name << " has no HELP line";
+                ++described;
+            }
+        }
+        prev = line;
+    }
+    // The stats tree alone contributes about a hundred instruments.
+    EXPECT_GT(described, 100);
 }
 
 // --- instruments ------------------------------------------------------

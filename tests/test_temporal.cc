@@ -268,6 +268,16 @@ TEST(SchemeRegistry, BadSelectionsRaiseConfigError)
         [] { parseSchemeSpec("domino:bogus=1"); }, "bogus");
     expectThrows<ConfigError>(
         [] { parseSchemeSpec("domino:replay=999"); }, "replay");
+    // A uint knob is digits only: "-1" is not read as 2^64 - 1.
+    expectThrows<ConfigError>(
+        [] { parseSchemeSpec("domino:history=-1"); }, "bad uint");
+    expectThrows<ConfigError>(
+        [] { parseSchemeSpec("n4l:degree= 2"); }, "bad uint");
+    // A knob given twice is refused, not silently overwritten.
+    expectThrows<ConfigError>(
+        [] { parseSchemeSpec("n4l:degree=1,degree=2"); }, "twice");
+    EXPECT_EQ(parseSchemeSpec("n4l:degree=2").knobs.canonical(),
+              "degree=2");
     // Aggregate-initialized specs are validated at build() too.
     RunSpec raw;
     raw.schemeToken = "domino";

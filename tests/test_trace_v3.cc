@@ -448,6 +448,51 @@ TEST(TraceCache, StrictAcquireOfDamagedFileThrows)
     std::remove(path.c_str());
 }
 
+// The decode fills exactly the header's count in place: a count that
+// is not a multiple of the decode chunk must not grow the vector past
+// its reservation (which would copy it and double its footprint).
+TEST(TraceCache, DecodeAllocatesExactlyTheHeaderCount)
+{
+    std::string path = ::testing::TempDir() + "cache_exact.trc";
+    std::vector<InstrRecord> truth = syntheticStream(20000, 5);
+    writeTraceFile(path, truth);
+    TraceCache::instance().clear();
+
+    auto t = TraceCache::instance().acquire(path);
+    EXPECT_EQ(t->records.size(), truth.size());
+    EXPECT_EQ(t->records.capacity(), truth.size());
+    expectSameRecords(t->records, truth);
+
+    TraceCache::instance().clear();
+    std::remove(path.c_str());
+}
+
+// A file cut short still decodes its valid prefix tolerantly.
+TEST(TraceCache, TruncatedFileDecodesItsPrefix)
+{
+    std::string path = ::testing::TempDir() + "cache_truncated.trc";
+    std::vector<InstrRecord> truth = syntheticStream(20000, 6);
+    writeTraceFile(path, truth, TraceFormat::V3, 1024);
+    std::vector<unsigned char> bytes = readFileBytes(path);
+    bytes.resize(bytes.size() * 2 / 3);
+    writeFileBytes(path, bytes);
+    TraceCache::instance().clear();
+
+    auto t = TraceCache::instance().acquire(path,
+                                            TraceReadMode::Tolerant);
+    EXPECT_TRUE(t->corrupt);
+    ASSERT_GT(t->records.size(), 0u);
+    ASSERT_LT(t->records.size(), truth.size());
+    expectSameRecords(
+        t->records,
+        std::vector<InstrRecord>(truth.begin(),
+                                 truth.begin() + static_cast<std::ptrdiff_t>(
+                                                     t->records.size())));
+
+    TraceCache::instance().clear();
+    std::remove(path.c_str());
+}
+
 TEST(TraceCache, ParallelBatchSharingOneTraceDecodesOnce)
 {
     std::string path = ::testing::TempDir() + "cache_jobs.trc";

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the util library: RNG, bit utilities, histograms,
- * stats, tables, option parsing, and FlatAddrMap diffed against
- * std::unordered_map.
+ * stats, tables, option parsing, JSON input hardening, and FlatAddrMap
+ * diffed against std::unordered_map.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "util/bitutil.hh"
 #include "util/flat_map.hh"
 #include "util/histogram.hh"
+#include "util/json.hh"
 #include "util/options.hh"
 #include "util/rng.hh"
 #include "util/stats.hh"
@@ -101,6 +102,44 @@ TEST(Rng, ChanceProbability)
     for (int i = 0; i < 20000; ++i)
         hits += rng.chance(0.25);
     EXPECT_NEAR(hits / 20000.0, 0.25, 0.02);
+}
+
+// chanceBelow(chanceThreshold(p)) must be chance(p) bit for bit: same
+// draw consumed, same outcome, at the edges of [0, 1] and of the
+// threshold itself (the integers m just below and at ceil(p * 2^53)).
+TEST(Rng, ChanceThresholdMatchesUniformCompare)
+{
+    constexpr double kOneUlpBelowOne = 1.0 - 0x1.0p-53;
+    static_assert(Rng::chanceThreshold(0.0) == 0);
+    static_assert(Rng::chanceThreshold(1.0) == std::uint64_t{1} << 53);
+    static_assert(Rng::chanceThreshold(kOneUlpBelowOne) ==
+                  (std::uint64_t{1} << 53) - 1);
+    static_assert(Rng::chanceThreshold(1e-300) == 1);
+    static_assert(Rng::chanceThreshold(0.5) == std::uint64_t{1} << 52);
+
+    std::vector<double> ps = {0.0,  1e-300, 1.5e-5, 0.5,
+                              kOneUlpBelowOne, 1.0, -0.25, 1.5,
+                              std::nan("")};
+    Rng pick(41);
+    for (int i = 0; i < 64; ++i)
+        ps.push_back(pick.uniform());
+    for (float f : {0.1f, 0.03f, 0.97f, 0.8f})
+        ps.push_back(f); // BasicBlock::takenProb is a float
+    std::uint64_t seed = 3;
+    for (double p : ps) {
+        const std::uint64_t t = Rng::chanceThreshold(p);
+        // The boundary draws: m * 2^-53 for m around the threshold.
+        for (std::uint64_t m : {t - 1, t, t + 1}) {
+            if (m >= std::uint64_t{1} << 53)
+                continue;
+            const double u = static_cast<double>(m) * 0x1.0p-53;
+            ASSERT_EQ(m < t, u < p) << "p " << p << " m " << m;
+        }
+        Rng a(++seed), b = a;
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(a.chance(p), b.chanceBelow(t)) << "p " << p;
+        ASSERT_EQ(a.next(), b.next()); // one draw each, in step
+    }
 }
 
 TEST(Rng, GeometricMean)
@@ -617,6 +656,49 @@ TEST(Options, UnknownEqualsFormThrows)
     test::expectThrows<ConfigError>(
         [&] { Options opts(2, const_cast<char **>(argv), known); },
         "unknown option --bad");
+}
+
+// Nesting beyond kJsonMaxDepth is a ConfigError, not a stack overflow.
+TEST(Json, DeepNestingIsRefused)
+{
+    const std::string deep(2'000'000, '[');
+    test::expectThrows<ConfigError>([&] { parseJson(deep); },
+                                    "nested deeper");
+    std::string ok = std::string(kJsonMaxDepth, '[') +
+                     std::string(kJsonMaxDepth, ']');
+    EXPECT_EQ(parseJson(ok).kind, JsonValue::Array);
+    std::string over = "{\"a\":" + std::string(kJsonMaxDepth, '[');
+    test::expectThrows<ConfigError>([&] { parseJson(over); },
+                                    "nested deeper");
+}
+
+// A number is a whole, finite JSON token: no prefix parse of 1.2.3,
+// no bare sign, no overflow to infinity.
+TEST(Json, NumbersAreWholeFiniteTokens)
+{
+    for (const char *bad : {"1.2.3", "-", "1e99999", "-1e99999", "1.",
+                            ".5", "1e", "1e+", "+1", "01", "[1.2.3]",
+                            "{\"k\": -}"})
+        test::expectThrows<ConfigError>([&] { parseJson(bad); },
+                                        "JSON error");
+    EXPECT_EQ(parseJson("-0.5e+2").number, -50.0);
+    EXPECT_EQ(parseJson("0").number, 0.0);
+    EXPECT_EQ(parseJson("1E3").number, 1000.0);
+    EXPECT_EQ(parseJson("[12, -3.25e-1]").items[1].number, -0.325);
+}
+
+// asUint() refuses what no uint64 holds instead of casting it.
+TEST(Json, AsUintIsRangeChecked)
+{
+    for (const char *bad : {"-1e30", "-1", "1e30", "18446744073709551616",
+                            "\"0xZZ\"", "\"0x\"", "\"0x1g\"",
+                            "\"0x10000000000000000\"", "\"12\"", "true"})
+        test::expectThrows<ConfigError>(
+            [&] { parseJson(bad).asUint(); }, "not a uint");
+    EXPECT_EQ(parseJson("4096").asUint(), 4096u);
+    EXPECT_EQ(parseJson("\"0xffffffffffffffff\"").asUint(), ~0ull);
+    test::expectThrows<ConfigError>(
+        [] { parseJson("{}").at("missing"); }, "missing key");
 }
 
 TEST(HashString, StableAndDistinct)

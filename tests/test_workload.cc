@@ -2,12 +2,14 @@
  * @file
  * Tests for the synthetic workload generator: CFG structural
  * invariants, stream consistency (the PC chain property), determinism
- * and statistical shape.
+ * and statistical shape, and the batch walker diffed record by record
+ * against the scalar reference walker.
  */
 
 #include <gtest/gtest.h>
 
 #include "error_helpers.hh"
+#include "reference_workload.hh"
 
 #include <set>
 #include <unordered_set>
@@ -315,4 +317,147 @@ TEST(Presets, DistinctAddressSpaces)
     for (WorkloadKind kind : allWorkloadKinds())
         bases.insert(presetConfig(kind).codeBase);
     EXPECT_EQ(bases.size(), allWorkloadKinds().size());
+}
+
+namespace
+{
+
+/** A program whose walk is dense in asynchronous events: traps and
+ *  switches fire every few dozen records, so they land mid-block, on
+ *  terminators and right after handler returns, and batch boundaries
+ *  fall inside handlers. It also has a warm data set, which the
+ *  presets leave empty. */
+std::shared_ptr<const ProgramCfg>
+stormProgram()
+{
+    WorkloadConfig cfg;
+    cfg.name = "storm";
+    cfg.layoutSeed = 4242;
+    cfg.codeFootprintBytes = 192u << 10;
+    cfg.concurrentContexts = 3;
+    cfg.contextSwitchPeriod = 60;
+    cfg.trapProbability = 0.02;
+    cfg.blockCountP = 0.5;        // short handlers: events stay dense
+    cfg.loopBackFraction = 0.05;
+    cfg.hotDataBytes = 256u << 10;
+    cfg.warmDataBytes = 64u << 10;
+    cfg.hotAccessFraction = 0.6;
+    cfg.warmAccessFraction = 0.15;
+    static std::shared_ptr<const ProgramCfg> prog =
+        std::make_shared<const ProgramCfg>(cfg);
+    return prog;
+}
+
+/**
+ * Pull @p total records from @p wl in pulls of @p batch (0: one
+ * next() call per record) and diff every field against @p ref, then
+ * the walk counters.
+ */
+void
+diffAgainstReference(Workload &wl, test::ReferenceWorkload &ref,
+                     std::size_t batch, std::size_t total)
+{
+    std::vector<InstrRecord> buf(std::max<std::size_t>(batch, 1));
+    std::size_t done = 0;
+    for (; done < total; done += buf.size()) {
+        if (batch == 0)
+            ASSERT_TRUE(wl.next(buf[0]));
+        else
+            ASSERT_EQ(wl.nextBatch(buf), buf.size());
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+            const InstrRecord want = ref.next();
+            const InstrRecord &got = buf[i];
+            const std::size_t at = done + i;
+            ASSERT_EQ(got.pc, want.pc) << "record " << at;
+            ASSERT_EQ(got.target, want.target) << "record " << at;
+            ASSERT_EQ(got.dataAddr, want.dataAddr) << "record " << at;
+            ASSERT_EQ(got.op, want.op) << "record " << at;
+            ASSERT_EQ(got.taken, want.taken) << "record " << at;
+            ASSERT_EQ(got.srcReg[0], want.srcReg[0]) << "record " << at;
+            ASSERT_EQ(got.srcReg[1], want.srcReg[1]) << "record " << at;
+            ASSERT_EQ(got.dstReg, want.dstReg) << "record " << at;
+        }
+    }
+    EXPECT_EQ(wl.instructionsEmitted(), done);
+    EXPECT_EQ(wl.transactionsCompleted(), ref.transactions);
+    EXPECT_EQ(wl.contextSwitches(), ref.switches);
+}
+
+constexpr std::size_t kPulls[] = {0, 1, 7, 512, 4096};
+
+} // namespace
+
+// The batch walker against the frozen scalar walker on the four
+// presets, several seeds and per-core data segments, for every pull
+// size: every field of every record, and the walk counters.
+TEST(WorkloadTwin, PresetsMatchReference)
+{
+    for (WorkloadKind kind : allWorkloadKinds()) {
+        auto prog = buildProgram(kind);
+        for (std::uint64_t seed : {1ull, 0x5eedull}) {
+            for (CoreId core : {0u, 3u}) {
+                const Addr offset = static_cast<Addr>(core) << 28;
+                for (std::size_t pull : kPulls) {
+                    SCOPED_TRACE(testing::Message()
+                                 << workloadName(kind) << " seed "
+                                 << seed << " core " << core
+                                 << " pull " << pull);
+                    Workload wl(prog, seed, offset);
+                    test::ReferenceWorkload ref(prog, seed, offset);
+                    diffAgainstReference(wl, ref, pull, 3 * 4096);
+                }
+            }
+        }
+    }
+}
+
+TEST(WorkloadTwin, AsyncStormMatchesReference)
+{
+    auto prog = stormProgram();
+    for (std::uint64_t seed : {3ull, 11ull, 977ull}) {
+        for (std::size_t pull : kPulls) {
+            SCOPED_TRACE(testing::Message()
+                         << "seed " << seed << " pull " << pull);
+            Workload wl(prog, seed, 0x4000000);
+            test::ReferenceWorkload ref(prog, seed, 0x4000000);
+            diffAgainstReference(wl, ref, pull, 25 * 4096);
+        }
+    }
+}
+
+// The storm config really puts events where the batch walker has
+// seams: traps taken mid-block, before a terminator and at a block's
+// first slot, and 7-record pulls that end inside a handler.
+TEST(WorkloadTwin, AsyncStormCoversBlockSeams)
+{
+    auto prog = stormProgram();
+    std::unordered_set<Addr> starts, terms;
+    for (const BasicBlock &bb : prog->blocks()) {
+        starts.insert(bb.startPc);
+        if (bb.term != TermKind::FallThrough)
+            terms.insert(bb.termPc());
+    }
+    test::ReferenceWorkload ref(prog, 3, 0);
+    int midBlock = 0, atTerm = 0, atStart = 0, pullEndsInHandler = 0;
+    bool inHandler = false;
+    for (std::size_t i = 0; i < 100000; ++i) {
+        const InstrRecord r = ref.next();
+        if (r.op == OpClass::Trap) {
+            inHandler = true;
+            if (terms.count(r.pc))
+                ++atTerm;
+            else if (starts.count(r.pc))
+                ++atStart;
+            else
+                ++midBlock;
+        } else if (r.op == OpClass::Return) {
+            inHandler = false; // handlers are leaves: this is theirs
+        }
+        if (inHandler && i % 7 == 6)
+            ++pullEndsInHandler;
+    }
+    EXPECT_GT(midBlock, 100);
+    EXPECT_GT(atTerm, 100);
+    EXPECT_GT(atStart, 100);
+    EXPECT_GT(pullEndsInHandler, 100);
 }
